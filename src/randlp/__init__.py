@@ -2,119 +2,4 @@
 simplex solver, block-iterative feasibility restoration, statistics, geometry,
 and a reproducible experiment harness."""
 
-from .config import ConfigError, ExperimentConfig, RestoreSettings, TailCase, config_from_mapping, load_config
-from .geometry import MeanWidthEstimate, UnboundedDirection, mean_width_mc, scaled_cost_bound
-from .harness import (
-    LANE_AUX,
-    LANE_COST,
-    LANE_MATRIX,
-    CampaignResult,
-    RunRecord,
-    emit,
-    run_algorithm_table,
-    run_campaign,
-    run_distribution_study,
-    run_mean_width,
-    run_objective_table,
-    run_sparse_cost_table,
-    run_stddev_table,
-    run_tail_check,
-    stream_index,
-)
-from .linalg import SingularGram, dot, gram_solve, matvec, norm2, norm_inf, pruned_gram_solve
-from .oracle import brute_force_oracle
-from .restore import DegenerateBlock, IterationRecord, RestoreOptions, RestoreTrace, objective_of, restore
-from .sampling import (
-    CostVectorKind,
-    EntryDistribution,
-    SeedSpec,
-    draw_entries,
-    is_compressible,
-    sample_cost_vector,
-    sample_matrix,
-)
-from .solver import LPInstance, SolveOutcome, check_feasible, duality_gap, solve
-from .stats import (
-    KSResult,
-    SampleSummary,
-    TailEstimate,
-    asymptotic_bound,
-    asymptotic_bound_ratio,
-    ecdf,
-    histogram,
-    kolmogorov_p,
-    ks_test,
-    normal_cdf,
-    relative_gap,
-    summarize,
-    tail_probability_mc,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CampaignResult",
-    "ConfigError",
-    "CostVectorKind",
-    "DegenerateBlock",
-    "EntryDistribution",
-    "ExperimentConfig",
-    "IterationRecord",
-    "KSResult",
-    "LANE_AUX",
-    "LANE_COST",
-    "LANE_MATRIX",
-    "LPInstance",
-    "MeanWidthEstimate",
-    "RestoreOptions",
-    "RestoreSettings",
-    "RestoreTrace",
-    "RunRecord",
-    "SampleSummary",
-    "SeedSpec",
-    "SingularGram",
-    "SolveOutcome",
-    "TailCase",
-    "TailEstimate",
-    "UnboundedDirection",
-    "asymptotic_bound",
-    "asymptotic_bound_ratio",
-    "brute_force_oracle",
-    "check_feasible",
-    "config_from_mapping",
-    "dot",
-    "draw_entries",
-    "duality_gap",
-    "ecdf",
-    "emit",
-    "gram_solve",
-    "histogram",
-    "is_compressible",
-    "kolmogorov_p",
-    "ks_test",
-    "load_config",
-    "matvec",
-    "mean_width_mc",
-    "norm2",
-    "norm_inf",
-    "normal_cdf",
-    "objective_of",
-    "pruned_gram_solve",
-    "relative_gap",
-    "restore",
-    "run_algorithm_table",
-    "run_campaign",
-    "run_distribution_study",
-    "run_mean_width",
-    "run_objective_table",
-    "run_sparse_cost_table",
-    "run_stddev_table",
-    "run_tail_check",
-    "sample_cost_vector",
-    "sample_matrix",
-    "scaled_cost_bound",
-    "solve",
-    "stream_index",
-    "summarize",
-    "tail_probability_mc",
-]

@@ -184,17 +184,7 @@ def _cmd_restore(args) -> int:
     from .restore import DegenerateBlock, RestoreOptions, restore
 
     A, c = _load_instance(args.instance)
-    settings = None
-    if args.config:
-        config = _load_config(args)
-        settings = config.restore
-    opts = (
-        RestoreOptions()
-        if settings is None
-        else RestoreOptions(
-            eps0=settings.eps0, shrink=settings.shrink, max_iters=settings.max_iters, feas_tol=settings.feas_tol
-        )
-    )
+    opts = _load_config(args).restore if args.config else RestoreOptions()
     status = 0
     try:
         trace = restore(A, c, opts)
@@ -220,9 +210,19 @@ def _cmd_restore(args) -> int:
     return status
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def cap_blas_threads() -> None:
+    """Default BLAS to one thread in this process's environment.
+
+    BLAS reads these variables once, when numpy loads, so this only takes
+    effect before that; processes spawned later inherit the setting. This
+    module imports no numpy at import time so that main can call it first.
+    """
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    cap_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     from .config import ConfigError

@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 
 import yaml
 
+from .restore import RestoreOptions
 from .sampling import CostVectorKind, EntryDistribution
 
 EXPERIMENT_KINDS = (
@@ -72,14 +73,6 @@ class TailCase:
 
 
 @dataclass(frozen=True)
-class RestoreSettings:
-    eps0: float = 0.1
-    shrink: float = 0.1
-    max_iters: int = 50
-    feas_tol: float = 1e-12
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     experiment_kind: str
     dist: EntryDistribution
@@ -94,7 +87,7 @@ class ExperimentConfig:
     baseline_mu: Optional[float] = None
     trials: int = 200
     tail_cases: Tuple[TailCase, ...] = ()
-    restore: RestoreSettings = field(default_factory=RestoreSettings)
+    restore: RestoreOptions = field(default_factory=RestoreOptions)
     svg: bool = False
 
     def __post_init__(self) -> None:
@@ -223,15 +216,16 @@ def _parse_tail_cases(raw: object) -> Tuple[TailCase, ...]:
     return tuple(cases)
 
 
-def _parse_restore(raw: object) -> RestoreSettings:
+def _parse_restore(raw: object) -> RestoreOptions:
     if raw is None:
-        return RestoreSettings()
+        return RestoreOptions()
     if not isinstance(raw, dict):
         raise ConfigError("restore must be a mapping")
     extra = set(raw) - {"eps0", "shrink", "max_iters", "feas_tol"}
     if extra:
         raise ConfigError(f"unknown restore keys {sorted(extra)}")
-    return RestoreSettings(
+    # PyYAML reads exponent floats without a dot (1e-12) as strings.
+    return RestoreOptions(
         eps0=float(raw.get("eps0", 0.1)),
         shrink=float(raw.get("shrink", 0.1)),
         max_iters=int(raw.get("max_iters", 50)),

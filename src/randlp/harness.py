@@ -24,9 +24,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ExperimentConfig, RestoreSettings, TailCase
+from .cli import cap_blas_threads
+from .config import ExperimentConfig
 from .geometry import UnboundedDirection, mean_width_mc
-from .restore import DegenerateBlock, RestoreOptions, restore
+from .restore import DegenerateBlock, restore
 from .sampling import CostVectorKind, EntryDistribution, SeedSpec, sample_cost_vector, sample_matrix
 from .solver import LPInstance, solve
 from .stats import asymptotic_bound, ecdf, histogram, ks_test, relative_gap, summarize, tail_probability_mc
@@ -81,15 +82,10 @@ class CampaignResult:
     ks: Optional[dict] = None
 
 
-def _ensure_thread_caps() -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-
-
 def _map_tasks(fn, tasks: Sequence, workers: int) -> List:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    _ensure_thread_caps()
+    cap_blas_threads()
     ctx = get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         return list(pool.map(fn, tasks))
@@ -99,95 +95,82 @@ def _cost_replicate(policy: str, replicate_index: int) -> int:
     return 0 if policy == "FixedAcrossReplicates" else replicate_index
 
 
-def _solve_task(task: Tuple) -> RunRecord:
-    (grid_index, replicate_index, m, n, dist, cost_kind, cost_rep, master_seed, arm) = task
+def _replicate_tasks(config: ExperimentConfig, arms: List[Tuple[object, CostVectorKind]]) -> List[Tuple]:
+    """One task per (grid point, arm, replicate), ordered deterministically.
+
+    An arm is (last task field, cost kind): the arm label for solves, the
+    restore options for restorations.
+    """
+    tasks = []
+    for g, (m, n) in enumerate(config.grid):
+        for last, arm_cost in arms:
+            for j in range(config.sample_size):
+                tasks.append(
+                    (g, j, m, n, config.dist, arm_cost, _cost_replicate(config.cost_policy, j), config.master_seed, last)
+                )
+    return tasks
+
+
+def _sample_instance(task: Tuple) -> Tuple[np.ndarray, np.ndarray, dict]:
+    """Draw a task's (A, c); also returns the RunRecord fields that identify it."""
+    (grid_index, replicate_index, m, n, dist, cost_kind, cost_rep, master_seed, _) = task
     mat_stream = stream_index(grid_index, replicate_index, LANE_MATRIX)
     A = sample_matrix(dist, m, n, SeedSpec(master_seed, mat_stream))
     c = sample_cost_vector(cost_kind, n, SeedSpec(master_seed, stream_index(grid_index, cost_rep, LANE_COST)))
+    return A, c, {"m": m, "n": n, "replicate_index": replicate_index, "stream_index": mat_stream}
+
+
+def _solve_task(task: Tuple) -> RunRecord:
+    A, c, ident = _sample_instance(task)
     t0 = time.perf_counter()
     outcome = solve(LPInstance(A, c))
     wall = time.perf_counter() - t0
-    z = outcome.z_star if outcome.status == "optimal" else None
-    err = None if outcome.status == "optimal" else (outcome.message or outcome.status)
+    optimal = outcome.status == "optimal"
     return RunRecord(
-        m=m,
-        n=n,
-        replicate_index=replicate_index,
-        stream_index=mat_stream,
-        z_star=z,
+        **ident,
+        z_star=outcome.z_star if optimal else None,
         pivots=outcome.pivots,
         wall_time=wall,
         status=outcome.status,
-        error=err,
-        arm=arm,
+        error=None if optimal else (outcome.message or outcome.status),
+        arm=task[-1],
     )
 
 
 def _restore_task(task: Tuple) -> RunRecord:
-    (grid_index, replicate_index, m, n, dist, cost_kind, cost_rep, master_seed, settings) = task
-    mat_stream = stream_index(grid_index, replicate_index, LANE_MATRIX)
-    A = sample_matrix(dist, m, n, SeedSpec(master_seed, mat_stream))
-    c = sample_cost_vector(cost_kind, n, SeedSpec(master_seed, stream_index(grid_index, cost_rep, LANE_COST)))
-    opts = RestoreOptions(
-        eps0=settings.eps0, shrink=settings.shrink, max_iters=settings.max_iters, feas_tol=settings.feas_tol
-    )
+    A, c, ident = _sample_instance(task)
     t0 = time.perf_counter()
     try:
-        trace = restore(A, c, opts)
+        trace = restore(A, c, task[-1])
+        status = "converged" if trace.converged else "non_converged"
+        error = None
     except DegenerateBlock as exc:
-        trace = exc.trace
-        wall = time.perf_counter() - t0
-        return RunRecord(
-            m=m,
-            n=n,
-            replicate_index=replicate_index,
-            stream_index=mat_stream,
-            z_star=None,
-            pivots=0,
-            wall_time=wall,
-            status="degenerate_block",
-            error=str(exc),
-            r=trace.iterations,
-            i0=trace.iterates[0].violated if trace.iterations >= 1 else 0,
-            i1=trace.iterates[1].violated if trace.iterations >= 2 else 0,
-            converged=False,
-            iterates=[asdict(rec) for rec in trace.iterates],
-        )
+        trace, status, error = exc.trace, "degenerate_block", str(exc)
     wall = time.perf_counter() - t0
     return RunRecord(
-        m=m,
-        n=n,
-        replicate_index=replicate_index,
-        stream_index=mat_stream,
-        z_star=float(np.dot(c, trace.final_x)),
+        **ident,
+        z_star=None if error is not None else float(np.dot(c, trace.final_x)),
         pivots=0,
         wall_time=wall,
-        status="converged" if trace.converged else "non_converged",
-        error=None,
+        status=status,
+        error=error,
         r=trace.iterations,
         i0=trace.iterates[0].violated if trace.iterations >= 1 else 0,
         i1=trace.iterates[1].violated if trace.iterations >= 2 else 0,
-        converged=trace.converged,
+        converged=status == "converged",
         iterates=[asdict(rec) for rec in trace.iterates],
     )
 
 
 def _solve_campaign_records(config: ExperimentConfig, arms: Optional[List[Tuple[str, CostVectorKind]]] = None) -> List[RunRecord]:
-    """Run one solve per (grid point, arm, replicate), ordered deterministically.
+    """Run one solve per (grid point, arm, replicate).
 
     Arms share the per-replicate matrix streams, so a cost-vector sweep is a
     paired comparison on identical matrices.
     """
     if arms is None:
         arms = [(None, config.cost_kind)]
-    tasks = []
-    for g, (m, n) in enumerate(config.grid):
-        for arm_label, arm_cost in arms:
-            for j in range(config.sample_size):
-                tasks.append(
-                    (g, j, m, n, config.dist, arm_cost, _cost_replicate(config.cost_policy, j), config.master_seed, arm_label)
-                )
-    return _map_tasks(_solve_task, tasks, config.workers)
+    return _map_tasks(_solve_task, _replicate_tasks(config, arms), config.workers)
 
 
 def _grouped(records: List[RunRecord], key_fn) -> Dict:
@@ -201,8 +184,9 @@ def _optimal_values(records: List[RunRecord]) -> List[float]:
     return [rec.z_star for rec in records if rec.status == "optimal" and rec.z_star is not None]
 
 
-def run_objective_table(config: ExperimentConfig) -> CampaignResult:
-    """Sample-mean objective versus the asymptotic reference on a grid."""
+def _grid_table(config: ExperimentConfig, row_stats) -> CampaignResult:
+    """Solve the grid and build one row per point: m, n, ab, then
+    row_stats(m, ab, optimal values) of the point's replicates."""
     records = _solve_campaign_records(config)
     groups = _grouped(records, lambda r: (r.m, r.n))
     rows = []
@@ -212,31 +196,31 @@ def run_objective_table(config: ExperimentConfig) -> CampaignResult:
         values = _optimal_values(recs)
         errored += len(recs) - len(values)
         ab = asymptotic_bound(m, n)
-        mu = float(np.mean(values)) if values else float("nan")
-        gap = relative_gap(ab, mu) if values else float("nan")
-        rows.append({"m": m, "n": n, "ab": ab, "mu_hat": mu, "relative_gap_pct": gap})
+        rows.append({"m": m, "n": n, "ab": ab, **row_stats(m, ab, values)})
     return CampaignResult(rows=rows, records=records, errored=errored, partial=errored > 0)
+
+
+def _mean_stats(m: int, ab: float, values: List[float]) -> dict:
+    mu = float(np.mean(values)) if values else float("nan")
+    gap = relative_gap(ab, mu) if values else float("nan")
+    return {"mu_hat": mu, "relative_gap_pct": gap}
+
+
+def _stddev_stats(m: int, ab: float, values: List[float]) -> dict:
+    if len(values) < 2:
+        return {"sigma_hat": float("nan"), "sigma_sqrt_m": float("nan")}
+    sigma = summarize(values).std
+    return {"sigma_hat": sigma, "sigma_sqrt_m": sigma * math.sqrt(m)}
+
+
+def run_objective_table(config: ExperimentConfig) -> CampaignResult:
+    """Sample-mean objective versus the asymptotic reference on a grid."""
+    return _grid_table(config, _mean_stats)
 
 
 def run_stddev_table(config: ExperimentConfig) -> CampaignResult:
     """Sample standard deviation of the objective, scaled by sqrt(m)."""
-    records = _solve_campaign_records(config)
-    groups = _grouped(records, lambda r: (r.m, r.n))
-    rows = []
-    errored = 0
-    for (m, n) in config.grid:
-        recs = groups.get((m, n), [])
-        values = _optimal_values(recs)
-        errored += len(recs) - len(values)
-        ab = asymptotic_bound(m, n)
-        if len(values) >= 2:
-            sigma = summarize(values).std
-            scaled = sigma * math.sqrt(m)
-        else:
-            sigma = float("nan")
-            scaled = float("nan")
-        rows.append({"m": m, "n": n, "ab": ab, "sigma_hat": sigma, "sigma_sqrt_m": scaled})
-    return CampaignResult(rows=rows, records=records, errored=errored, partial=errored > 0)
+    return _grid_table(config, _stddev_stats)
 
 
 def run_sparse_cost_table(config: ExperimentConfig) -> CampaignResult:
@@ -286,12 +270,7 @@ def run_distribution_study(config: ExperimentConfig) -> CampaignResult:
 
 def run_algorithm_table(config: ExperimentConfig) -> CampaignResult:
     """Feasibility-restoration sweeps over the grid, one row per run."""
-    tasks = []
-    for g, (m, n) in enumerate(config.grid):
-        for j in range(config.sample_size):
-            tasks.append(
-                (g, j, m, n, config.dist, config.cost_kind, _cost_replicate(config.cost_policy, j), config.master_seed, config.restore)
-            )
+    tasks = _replicate_tasks(config, [(config.restore, config.cost_kind)])
     records = _map_tasks(_restore_task, tasks, config.workers)
     rows = []
     errored = 0

@@ -1,4 +1,4 @@
-"""Dense vector/matrix helpers and the small symmetric solves used elsewhere.
+"""The small symmetric Gram solves used by restoration.
 
 Everything operates on float64 numpy arrays. Matrices are row-major and kept
 dense: the largest instance handled anywhere is 100000 x 100 (about 80 MB),
@@ -20,40 +20,6 @@ GRAM_RESIDUAL_REL = 1e-8
 
 class SingularGram(Exception):
     """The Gram matrix M^T M has no acceptable pivot left."""
-
-
-def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product A x.
-
-    Raises ValueError on dimension mismatch.
-    """
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if A.ndim != 2 or x.ndim != 1 or A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, x has length {x.shape}")
-    return A @ x
-
-
-def dot(x: np.ndarray, y: np.ndarray) -> float:
-    """Euclidean inner product <x, y>."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return float(np.dot(x, y))
-
-
-def norm2(x: np.ndarray) -> float:
-    """Euclidean norm ||x||_2."""
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
-
-
-def norm_inf(x: np.ndarray) -> float:
-    """Max-abs norm ||x||_inf. Defined as 0 for the empty vector."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        return 0.0
-    return float(np.max(np.abs(x)))
 
 
 def _pivoted_cholesky(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

@@ -88,12 +88,9 @@ class SolveOutcome:
     message: str = ""
 
 
-def check_feasible(A: np.ndarray, x: np.ndarray, tol: float = 0.0) -> float:
-    """Return max_i (<row_i(A), x> - 1), the worst constraint violation.
-
-    The tol argument is accepted for call-site symmetry; the returned value
-    does not depend on it, callers compare against their own threshold.
-    """
+def check_feasible(A: np.ndarray, x: np.ndarray) -> float:
+    """Return max_i (<row_i(A), x> - 1), the worst constraint violation;
+    callers compare it against their own threshold."""
     A = np.asarray(A, dtype=float)
     x = np.asarray(x, dtype=float)
     if A.ndim != 2 or x.ndim != 1 or A.shape[1] != x.shape[0]:
@@ -142,10 +139,10 @@ class _Basis:
         """Rebuild the inverse and basic values from scratch; return residual."""
         self.Binv = np.linalg.inv(self.Bmat)
         self.xB = self.Binv @ self.b
-        return float(np.max(np.abs(self.Bmat @ self.xB - self.b)))
+        return self.residual()
 
     def residual(self) -> float:
-        return float(np.max(np.abs(self.Bmat @ self.xB - self.b)))
+        return float(np.abs(self.Bmat @ self.xB - self.b).max())
 
     def swap(self, pos: int, entering: int, d: np.ndarray, theta: float) -> None:
         leaving = self.basis[pos]
@@ -157,18 +154,17 @@ class _Basis:
         self.xB -= theta * d
         self.xB[pos] = theta
         pivrow = self.Binv[pos] / d[pos]
-        self.Binv -= np.outer(d, pivrow)
+        self.Binv -= d[:, None] * pivrow
         self.Binv[pos] = pivrow
 
 
 def _price(basis: _Basis, phase: int) -> np.ndarray:
     """Reduced costs of the m y-columns under the current basis."""
-    cost_B = _basic_costs(basis, phase)
-    pi = basis.Binv.T @ cost_B
+    pi = basis.Binv.T @ _basic_costs(basis, phase)
     Api = basis.A @ pi
     if phase == 1:
-        return -Api
-    return 1.0 - Api
+        return np.negative(Api, out=Api)
+    return np.subtract(1.0, Api, out=Api)
 
 
 def _basic_costs(basis: _Basis, phase: int) -> np.ndarray:
@@ -191,30 +187,32 @@ def _run_phase(
         if state["pivots"] >= max_pivots:
             return "pivot_budget"
         r = _price(basis, phase)
-        open_cols = ~basis.in_basis[:m]
+        # Columns already in the basis are never candidates.
+        r[basis.in_basis[:m]] = np.inf
         if state["bland"]:
-            cand = np.nonzero(open_cols & (r < -REDUCED_COST_TOL))[0]
+            cand = np.flatnonzero(r < -REDUCED_COST_TOL)
             if cand.size == 0:
                 return "optimal"
             j = int(cand[0])
         else:
-            rm = np.where(open_cols, r, np.inf)
-            j = int(np.argmin(rm))
-            if rm[j] >= -REDUCED_COST_TOL:
+            j = int(r.argmin())
+            if r[j] >= -REDUCED_COST_TOL:
                 return "optimal"
         col = basis.column(j)
         d = basis.Binv @ col
         pos_mask = d > pivot_tol
-        if not np.any(pos_mask):
+        if not pos_mask.any():
             # The standard form is bounded below by 0, so this is numeric dirt.
             return "no_pivot_row"
-        ratios = np.where(pos_mask, basis.xB / np.where(pos_mask, d, 1.0), np.inf)
-        theta = max(float(np.min(ratios)), 0.0)
+        ratios = np.full(basis.n, np.inf)
+        np.divide(basis.xB, d, out=ratios, where=pos_mask)
         if state["bland"]:
-            ties = np.nonzero(ratios <= theta)[0]
-            pos = int(ties[np.argmin(basis.basis[ties])])
+            theta = max(float(ratios.min()), 0.0)
+            ties = np.flatnonzero(ratios <= theta)
+            pos = int(ties[basis.basis[ties].argmin()])
         else:
-            pos = int(np.argmin(ratios))
+            pos = int(ratios.argmin())
+            theta = max(float(ratios[pos]), 0.0)
         if theta < 1e-12:
             state["degenerate"] += 1
             if state["degenerate"] > degenerate_budget:

@@ -5,6 +5,10 @@ routing, overrides, and the generate/solve/restore round trip on .npz files.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,11 @@ class TestUsage:
         assert main(["dist", "--config", cfg]) == 1
         assert "does not belong" in capsys.readouterr().err
 
+    def test_restore_value_out_of_range(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", experiment="AlgorithmTable", restore={"eps0": 2.0})
+        assert main(["table", "--config", cfg]) == 1
+        assert "randlp: config error" in capsys.readouterr().err
+
     def test_solve_needs_instance_argument(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve"])
@@ -58,6 +67,28 @@ class TestUsage:
 
     def test_solve_missing_instance_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.npz")]) == 1
+
+
+class TestImports:
+    """Fresh interpreters, so numpy and randlp are not yet loaded."""
+
+    @staticmethod
+    def run_python(code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # main caps BLAS threads through the environment, which works only
+        # before numpy loads.
+        proc = self.run_python("import sys, randlp.cli; print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_restore_submodule_not_shadowed(self):
+        proc = self.run_python("import types, randlp.restore; print(isinstance(randlp.restore, types.ModuleType))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
 
 class TestCampaignCommands:

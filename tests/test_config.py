@@ -133,6 +133,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config_from_mapping(bad)
 
+    @pytest.mark.parametrize(
+        "key, value", [("eps0", 2.0), ("shrink", 0.0), ("max_iters", 0), ("feas_tol", -1e-12)]
+    )
+    def test_restore_values_checked(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping(minimal("AlgorithmTable", restore={key: value}))
+
     def test_frozen(self):
         cfg = config_from_mapping(minimal())
         with pytest.raises(Exception):

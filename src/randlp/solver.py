@@ -11,10 +11,19 @@ the equality rows at optimality are the primal optimizer x*, and y itself is
 the dual certificate. Phase-1 infeasibility (c outside the conical hull of
 the rows of A) is exactly primal unboundedness and is reported with a ray.
 
-Pricing is Dantzig (most negative reduced cost) with a permanent switch to
-Bland's rule once the degenerate-pivot budget is spent, which rules out
-cycling. The basis inverse is refreshed from scratch on a fixed pivot
-interval and whenever the tracked basic residual drifts.
+Pricing is Dantzig (most negative reduced cost) over a working set of
+y-columns. At the optimum only n of the m rows of A carry weight, so each
+pivot prices just the rows in the set. When none of them improves, a full
+pass prices all m rows: if it finds no improving column either, the phase is
+optimal, so optimality is only ever declared after a full pass; otherwise it
+picks the entering column over all m rows and adds to the set up to
+WORKING_SET * n rows with the most negative reduced costs. The set only
+grows within a phase and starts empty in each; when WORKING_SET * n >= m it
+never forms and every pivot is a full pass. Once the degenerate-pivot budget
+is spent, pricing switches permanently to Bland's rule, which rules out
+cycling; Bland's smallest index is taken over all m columns, so from then on
+every pivot is a full pass. The basis inverse is refreshed from scratch on a
+fixed pivot interval and whenever the tracked basic residual drifts.
 """
 
 from __future__ import annotations
@@ -34,6 +43,10 @@ DUALITY_GAP_TOL = 1e-7
 Y_NEGATIVITY_TOL = 1e-12
 
 REFACTOR_INTERVAL = 100
+# Degenerate pivots allowed per (m + n) before Bland's rule takes over.
+DEGENERATE_BUDGET = 5
+# Rows added to the pricing working set per full pass, per column of A.
+WORKING_SET = 2
 RESIDUAL_REFACTOR = 1e-10
 
 UNIT_COST_TOL = 1e-9
@@ -158,19 +171,21 @@ class _Basis:
         self.Binv[pos] = pivrow
 
 
-def _price(basis: _Basis, phase: int) -> np.ndarray:
-    """Reduced costs of the m y-columns under the current basis."""
-    pi = basis.Binv.T @ _basic_costs(basis, phase)
-    Api = basis.A @ pi
+def _price(rows: np.ndarray, pi: np.ndarray, phase: int) -> np.ndarray:
+    """Reduced costs of the y-columns whose rows of A are given, under pi."""
+    Api = rows @ pi
     if phase == 1:
         return np.negative(Api, out=Api)
     return np.subtract(1.0, Api, out=Api)
 
 
-def _basic_costs(basis: _Basis, phase: int) -> np.ndarray:
+def _multipliers(basis: _Basis, phase: int) -> np.ndarray:
+    """Simplex multipliers B^-T c_B of the phase's cost vector."""
     if phase == 1:
-        return (basis.basis >= basis.m).astype(float)
-    return (basis.basis < basis.m).astype(float)
+        cost_B = (basis.basis >= basis.m).astype(float)
+    else:
+        cost_B = (basis.basis < basis.m).astype(float)
+    return basis.Binv.T @ cost_B
 
 
 def _run_phase(
@@ -182,22 +197,42 @@ def _run_phase(
 ) -> str:
     """Run one simplex phase to optimality. Returns "optimal" or a failure tag."""
     m = basis.m
-    degenerate_budget = 5 * (m + basis.n)
+    degenerate_budget = DEGENERATE_BUDGET * (m + basis.n)
+    refill = WORKING_SET * basis.n
+    # The working set as a row mask; its sorted indices and rows of A are
+    # gathered once per refill.
+    in_set = np.zeros(m, dtype=bool) if refill < m else None
+    rows = None
+    A_rows = None
     while True:
         if state["pivots"] >= max_pivots:
             return "pivot_budget"
-        r = _price(basis, phase)
-        # Columns already in the basis are never candidates.
-        r[basis.in_basis[:m]] = np.inf
-        if state["bland"]:
-            cand = np.flatnonzero(r < -REDUCED_COST_TOL)
-            if cand.size == 0:
-                return "optimal"
-            j = int(cand[0])
-        else:
-            j = int(r.argmin())
-            if r[j] >= -REDUCED_COST_TOL:
-                return "optimal"
+        pi = _multipliers(basis, phase)
+        j = -1
+        if rows is not None and not state["bland"]:
+            r = _price(A_rows, pi, phase)
+            r[basis.in_basis[rows]] = np.inf
+            i = int(r.argmin())
+            if r[i] < -REDUCED_COST_TOL:
+                j = int(rows[i])
+        if j < 0:
+            r = _price(basis.A, pi, phase)
+            # Columns already in the basis are never candidates.
+            r[basis.in_basis[:m]] = np.inf
+            if state["bland"]:
+                cand = np.flatnonzero(r < -REDUCED_COST_TOL)
+                if cand.size == 0:
+                    return "optimal"
+                j = int(cand[0])
+            else:
+                j = int(r.argmin())
+                if r[j] >= -REDUCED_COST_TOL:
+                    return "optimal"
+                if in_set is not None:
+                    best = np.argpartition(r, refill)[:refill]
+                    in_set[best[r[best] < -REDUCED_COST_TOL]] = True
+                    rows = np.flatnonzero(in_set)
+                    A_rows = basis.A[rows]
         col = basis.column(j)
         d = basis.Binv @ col
         pos_mask = d > pivot_tol
@@ -252,8 +287,7 @@ def _extract_optimal(inst: LPInstance, basis: _Basis, pivots: int, feas_tol: flo
     y[basis.basis[y_positions]] = basis.xB[y_positions]
     artificial_mass = float(np.sum(np.abs(basis.xB[~y_positions])))
     np.clip(y, 0.0, None, out=y)
-    cost_B = _basic_costs(basis, 2)
-    x = basis.Binv.T @ cost_B
+    x = _multipliers(basis, 2)
     z = float(np.sum(y))
     max_viol = check_feasible(inst.A, x)
     dual_resid = float(np.max(np.abs(inst.A.T @ y - inst.c)))
@@ -277,8 +311,7 @@ def _extract_optimal(inst: LPInstance, basis: _Basis, pivots: int, feas_tol: flo
 
 def _extract_unbounded(inst: LPInstance, basis: _Basis, pivots: int, feas_tol: float) -> SolveOutcome:
     basis.refactor()
-    cost_B = _basic_costs(basis, 1)
-    pi = basis.Binv.T @ cost_B
+    pi = _multipliers(basis, 1)
     along_c = float(np.dot(inst.c, pi))
     if along_c <= 0.0:
         return SolveOutcome(

@@ -9,11 +9,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from randlp import solver
 from randlp.oracle import brute_force_oracle
 from randlp.sampling import CostVectorKind, EntryDistribution, SeedSpec, sample_cost_vector, sample_matrix
 from randlp.solver import LPInstance, check_feasible, duality_gap, solve
 
 SQRT2 = math.sqrt(2.0)
+
+ENTRY_LAWS = (EntryDistribution.gaussian(), EntryDistribution.rademacher(), EntryDistribution.bernoulli_normal())
+COST_KINDS = (CostVectorKind.rescaled_rademacher(), CostVectorKind.uniform_sphere(), CostVectorKind.k_spike(1))
 
 
 def certify_optimal(inst: LPInstance, out) -> None:
@@ -22,6 +26,25 @@ def certify_optimal(inst: LPInstance, out) -> None:
     assert float(np.max(np.abs(inst.A.T @ out.y_star - inst.c))) <= 1e-7
     assert float(np.min(out.y_star)) >= -1e-12
     assert abs(duality_gap(inst, out.x_star, out.y_star)) <= 1e-7
+
+
+def sample_instance(dist, m, n, seed, cost=CostVectorKind.rescaled_rademacher()) -> LPInstance:
+    A = sample_matrix(dist, m, n, SeedSpec(seed, 0))
+    c = sample_cost_vector(cost, n, SeedSpec(seed, 1))
+    return LPInstance(A=A, c=c)
+
+
+def solve_full_pricing(monkeypatch, inst: LPInstance):
+    """Solve with a working set too large to form: every pivot prices all m rows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "WORKING_SET", inst.m)
+        return solve(inst)
+
+
+def certify_unbounded(inst: LPInstance, out) -> None:
+    assert out.status == "unbounded"
+    assert float(np.max(inst.A @ out.ray)) <= 1e-9
+    assert float(np.dot(inst.c, out.ray)) >= 1.0 - 1e-9
 
 
 class TestInstanceValidation:
@@ -88,10 +111,7 @@ class TestHandInstances:
 
     def test_single_row_unbounded(self):
         inst = LPInstance(A=np.array([[1.0, 0.0]]), c=np.array([0.0, 1.0]))
-        out = solve(inst)
-        assert out.status == "unbounded"
-        assert float(np.max(inst.A @ out.ray)) <= 1e-9
-        assert float(np.dot(inst.c, out.ray)) >= 1.0 - 1e-9
+        certify_unbounded(inst, solve(inst))
 
     def test_degenerate_duplicate_rows(self):
         A = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
@@ -208,3 +228,70 @@ class TestCertificates:
             c = sample_cost_vector(CostVectorKind.uniform_sphere(), n, SeedSpec(seed, 4))
             out = solve(LPInstance(A=A, c=c))
             assert out.status in ("optimal", "unbounded")
+
+
+class TestWorkingSetPricing:
+    @pytest.mark.parametrize("m, n", [(3000, 20), (2000, 40)])
+    def test_agrees_with_full_pricing(self, monkeypatch, m, n):
+        for seed, (dist, cost) in enumerate((d, k) for d in ENTRY_LAWS for k in COST_KINDS):
+            inst = sample_instance(dist, m, n, seed, cost)
+            full = solve_full_pricing(monkeypatch, inst)
+            out = solve(inst)
+            certify_optimal(inst, full)
+            certify_optimal(inst, out)
+            assert abs(out.z_star - full.z_star) <= 1e-12, (dist.kind, cost.kind, seed)
+
+    def test_tall_unbounded_ray(self, monkeypatch):
+        # Reflecting every row with <a_i, c> > 0 leaves c outside the cone of
+        # the rows, so the program is unbounded along c.
+        inst = sample_instance(EntryDistribution.gaussian(), 3000, 20, 7)
+        A = inst.A * np.where(inst.A @ inst.c > 0.0, -1.0, 1.0)[:, None]
+        inst = LPInstance(A=A, c=inst.c)
+        certify_unbounded(inst, solve_full_pricing(monkeypatch, inst))
+        certify_unbounded(inst, solve(inst))
+
+    def test_bland_rule_under_working_set(self, monkeypatch):
+        # A zero budget engages Bland's rule at the first degenerate pivot;
+        # rademacher sign ties make degenerate pivots certain.
+        engaged = []
+        run_phase = solver._run_phase
+
+        def spy(basis, phase, pivot_tol, max_pivots, state):
+            tag = run_phase(basis, phase, pivot_tol, max_pivots, state)
+            engaged.append(state["bland"])
+            return tag
+
+        for seed in range(3):
+            inst = sample_instance(EntryDistribution.rademacher(), 4000, 20, seed)
+            reference = solve(inst)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "DEGENERATE_BUDGET", 0)
+                patch.setattr(solver, "_run_phase", spy)
+                out = solve(inst)
+            certify_optimal(inst, reference)
+            certify_optimal(inst, out)
+            assert abs(out.z_star - reference.z_star) <= 1e-12
+            assert engaged[-1]
+
+
+class TestHighsAgreement:
+    """Differential check against HiGHS at the sizes the campaigns solve."""
+
+    @pytest.mark.parametrize(
+        "dist, m, n",
+        [
+            (EntryDistribution.rademacher(), 20000, 50),
+            (EntryDistribution.rademacher(), 6000, 150),
+            (EntryDistribution.gaussian(), 1000, 50),
+            (EntryDistribution.bernoulli_normal(), 5000, 30),
+        ],
+        ids=["rademacher-20000x50", "rademacher-6000x150", "gaussian-1000x50", "bernoulli_normal-5000x30"],
+    )
+    def test_z_star_matches_highs(self, dist, m, n):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        inst = sample_instance(dist, m, n, 0)
+        out = solve(inst)
+        ref = linprog(-inst.c, A_ub=inst.A, b_ub=np.ones(m), bounds=(None, None), method="highs")
+        assert ref.status == 0, ref.message
+        certify_optimal(inst, out)
+        assert abs(out.z_star + ref.fun) <= 1e-9

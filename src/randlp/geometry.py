@@ -2,9 +2,7 @@
 
 The spherical mean width is twice the expected support value over uniformly
 random unit directions; each direction is resolved exactly by the solver, so
-the only error is Monte Carlo. A second, instant lower bound on a single
-instance's optimum comes from scaling the cost vector itself until it is
-feasible.
+the only error is Monte Carlo.
 """
 
 from __future__ import annotations
@@ -63,20 +61,3 @@ def mean_width_mc(A: np.ndarray, trials: int, seed: SeedSpec) -> MeanWidthEstima
     normalized = math.sqrt(2.0 * math.log(m / n)) * estimate if m > n else float("nan")
     return MeanWidthEstimate(estimate=estimate, standard_error=se, trials=trials, normalized=normalized)
 
-
-def scaled_cost_bound(A: np.ndarray, c: np.ndarray) -> float:
-    """Certified lower bound 1 / ||A c||_inf on the optimum for direction c.
-
-    The point c / ||A c||_inf satisfies every constraint with equality at the
-    worst row, hence is feasible, and its objective is this value.
-    """
-    A = np.asarray(A, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if A.ndim != 2 or c.ndim != 1 or A.shape[1] != c.shape[0]:
-        raise ValueError(f"shape mismatch: A is {A.shape}, c has length {c.shape}")
-    if abs(float(np.linalg.norm(c)) - 1.0) > 1e-9:
-        raise ValueError("c must have unit Euclidean norm")
-    s = float(np.max(np.abs(A @ c)))
-    if s == 0.0:
-        raise ValueError("A c is the zero vector; the scaled point is unbounded")
-    return 1.0 / s

@@ -147,19 +147,3 @@ def restore(
         initial_x=x0, final_x=x, converged=converged, iterations=len(records), iterates=records
     )
 
-
-def objective_of(trace: RestoreTrace, m: int, n: int) -> float:
-    """Objective <c, final_x> of a converged standard-start trace.
-
-    c is recovered from the stored start, which for a standard run is the
-    scaled cost vector; the value equals (2 log(m/n))^{-1/2} to within solve
-    residuals because every sweep moves orthogonally to c.
-    """
-    if not trace.converged:
-        raise ValueError("trace did not converge")
-    if m <= n:
-        raise ValueError("need m > n")
-    scale = float(np.linalg.norm(trace.initial_x))
-    if scale == 0.0:
-        raise ValueError("trace has a zero start")
-    return float(np.dot(trace.initial_x, trace.final_x)) / scale

@@ -117,10 +117,15 @@ def draw_entries(dist: EntryDistribution, shape: tuple[int, ...], gen: np.random
     if dist.kind == "gaussian":
         return gen.standard_normal(shape)
     if dist.kind == "rademacher":
-        return gen.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+        return rademacher_bits(shape, gen).astype(float) * 2.0 - 1.0
     mask = gen.random(shape) < dist.p
     normals = gen.standard_normal(shape) * math.sqrt(dist.variance)
     return np.where(mask, normals, 0.0)
+
+
+def rademacher_bits(shape: tuple[int, ...], gen: np.random.Generator) -> np.ndarray:
+    """The int64 0/1 draws behind rademacher entries: bit 1 is +1, bit 0 is -1."""
+    return gen.integers(0, 2, size=shape)
 
 
 def sample_matrix(dist: EntryDistribution, m: int, n: int, seed: SeedSpec) -> np.ndarray:

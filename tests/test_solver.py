@@ -295,3 +295,86 @@ class TestHighsAgreement:
         assert ref.status == 0, ref.message
         certify_optimal(inst, out)
         assert abs(out.z_star + ref.fun) <= 1e-9
+
+
+class TestPivotUpdates:
+    """The per-pivot updates: incremental multipliers, the carried working set
+    and the rationed residual check."""
+
+    @staticmethod
+    def spy_pricing(monkeypatch):
+        """Record, for each pricing call, its phase, whether it priced all m
+        rows, the rows priced and how far pi is from B^-T c_B, relative to
+        max(1, ||B^-T c_B||_inf)."""
+        calls = []
+        current = {}
+        run_phase, price, multipliers = solver._run_phase, solver._price, solver._multipliers
+
+        def phase_spy(basis, phase, pivot_tol, max_pivots, state):
+            current["basis"] = basis
+            entry_set = None if state["in_set"] is None else state["in_set"].copy()
+            tag = run_phase(basis, phase, pivot_tol, max_pivots, state)
+            exit_set = None if state["in_set"] is None else state["in_set"].copy()
+            current.setdefault("sets", []).append((phase, entry_set, exit_set))
+            return tag
+
+        def price_spy(rows, pi, phase):
+            basis = current["basis"]
+            fresh = multipliers(basis, phase)
+            calls.append(
+                {
+                    "phase": phase,
+                    "full": rows is basis.A,
+                    "rows": rows,
+                    "exact": bool(np.array_equal(pi, fresh)),
+                    "drift": float(np.abs(pi - fresh).max()) / max(1.0, float(np.abs(fresh).max())),
+                }
+            )
+            return price(rows, pi, phase)
+
+        monkeypatch.setattr(solver, "_run_phase", phase_spy)
+        monkeypatch.setattr(solver, "_price", price_spy)
+        return calls, current
+
+    def test_full_passes_price_fresh_multipliers(self, monkeypatch):
+        inst = sample_instance(EntryDistribution.rademacher(), 6000, 150, 0)
+        reference = solve(inst)
+        calls, _ = self.spy_pricing(monkeypatch)
+        out = solve(inst)
+        certify_optimal(inst, out)
+        assert out.pivots == reference.pivots and out.z_star == reference.z_star
+        full = [call for call in calls if call["full"]]
+        incremental = [call for call in calls if not call["full"]]
+        assert full and incremental
+        # Optimality and the entering column of every full pass are decided on
+        # multipliers computed from B^-1, bit for bit.
+        assert all(call["exact"] for call in full)
+        # Between full passes the rank-1 updates track B^-T c_B to 1e-9, scaled
+        # by the multipliers where they exceed 1: in degenerate bases they
+        # reach 1e5, where B^-T c_B itself is only resolved to about 1e-10.
+        assert max(call["drift"] for call in incremental) <= 1e-9
+
+    @pytest.mark.parametrize("m, n", [(3000, 20), (6000, 150)])
+    def test_phase_two_starts_with_phase_one_set(self, monkeypatch, m, n):
+        inst = sample_instance(EntryDistribution.rademacher(), m, n, 1)
+        calls, current = self.spy_pricing(monkeypatch)
+        certify_optimal(inst, solve(inst))
+        (phase1, _, carried), (phase2, entry, _) = current["sets"]
+        assert (phase1, phase2) == (1, 2)
+        assert carried.any() and np.array_equal(entry, carried)
+        first = next(call for call in calls if call["phase"] == 2)
+        assert not first["full"]
+        assert np.array_equal(first["rows"], inst.A[carried])
+
+    @pytest.mark.parametrize("m, n", [(40, 5), (2000, 40), (6000, 150)])
+    def test_residual_checked_every_pivot(self, monkeypatch, m, n):
+        for seed, dist in enumerate(ENTRY_LAWS):
+            inst = sample_instance(dist, m, n, seed)
+            out = solve(inst)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "RESIDUAL_CHECK", 1)
+                every = solve(inst)
+            assert every.status == out.status, (dist.kind, seed)
+            if out.status == "optimal":
+                certify_optimal(inst, every)
+                assert abs(every.z_star - out.z_star) <= 1e-12, (dist.kind, seed)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from randlp.sampling import EntryDistribution, SeedSpec
+from randlp.sampling import EntryDistribution, SeedSpec, draw_entries
 from randlp.stats import (
+    MC_CHUNK_ROWS,
     asymptotic_bound,
     asymptotic_bound_ratio,
     ecdf,
@@ -216,6 +217,28 @@ class TestTailProbabilityMc:
         y = np.full(400, 0.05)
         est = tail_probability_mc(y, EntryDistribution.rademacher(), 1.8, 200000, SeedSpec(0, 3))
         assert abs(est.p_hat - BINOM_400_218) <= 4.0 * est.standard_error
+
+    def test_rademacher_flat_on_lattice_tie(self):
+        # t = 1.8 puts rows with sum 36 exactly on the threshold, the case of
+        # criterion 12's draws (master seed 0, stream 200).
+        y = np.full(400, 400**-0.5)
+        est = tail_probability_mc(y, EntryDistribution.rademacher(), 1.8, 10**6, SeedSpec(0, 200))
+        assert abs(est.p_hat - BINOM_400_218) <= 4.0 * est.standard_error
+
+    @pytest.mark.parametrize("n, t, k", [(400, 1.8, 36), (400, 1.75, 36), (9, 0.5, 3), (9, -5.0, -9), (9, 4.0, 11)])
+    def test_rademacher_flat_counts_lattice_sums(self, n, t, k):
+        # A hit is a row whose sum of n signs reaches k, the smallest attainable
+        # sum S with S / sqrt(n) >= t; at n = 400, t = 1.8 the sum 36 is a tie.
+        # The reference redraws the same blocks as floats.
+        y = np.full(n, n**-0.5)
+        trials = MC_CHUNK_ROWS + 4000
+        est = tail_probability_mc(y, EntryDistribution.rademacher(), t, trials, SeedSpec(2, 9))
+        gen = SeedSpec(2, 9).generator()
+        hits = 0
+        for rows in (MC_CHUNK_ROWS, 4000):
+            signs = draw_entries(EntryDistribution.rademacher(), (rows, n), gen)
+            hits += int(np.count_nonzero(signs.sum(axis=1) >= k))
+        assert est.p_hat == hits / trials
 
     def test_determinism_across_chunk_boundary(self):
         # 70000 trials span two fixed-size blocks; same seed, same estimate.

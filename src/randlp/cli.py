@@ -105,14 +105,6 @@ def _run_campaign(args) -> int:
     return 2 if result.partial else 0
 
 
-def _instance_seed(args, config) -> int:
-    if args.seed is not None:
-        return args.seed
-    if config is not None:
-        return config.master_seed
-    return 0
-
-
 def _cmd_generate(args) -> int:
     import numpy as np
 
@@ -120,17 +112,14 @@ def _cmd_generate(args) -> int:
     from .harness import LANE_COST, LANE_MATRIX, stream_index
     from .sampling import SeedSpec, sample_cost_vector, sample_matrix
 
-    config = _load_config(args) if args.config else None
-    if config is None:
-        raise ConfigError("generate needs --config for the instance shape and ensemble")
+    config = _load_config(args)
     if not config.grid:
         raise ConfigError("generate needs a non-empty grid; the first entry is used")
     m, n = config.grid[0]
-    master_seed = _instance_seed(args, config)
     mat_stream = stream_index(0, 0, LANE_MATRIX)
     cost_stream = stream_index(0, 0, LANE_COST)
-    A = sample_matrix(config.dist, m, n, SeedSpec(master_seed, mat_stream))
-    c = sample_cost_vector(config.cost_kind, n, SeedSpec(master_seed, cost_stream))
+    A = sample_matrix(config.dist, m, n, SeedSpec(config.master_seed, mat_stream))
+    c = sample_cost_vector(config.cost_kind, n, SeedSpec(config.master_seed, cost_stream))
     out = args.out or "instance.npz"
     if not out.endswith(".npz"):
         out += ".npz"
@@ -139,7 +128,7 @@ def _cmd_generate(args) -> int:
         A=A,
         c=c,
         dist_kind=np.array(config.dist.kind),
-        master_seed=np.array(master_seed, dtype=np.uint64),
+        master_seed=np.array(config.master_seed, dtype=np.uint64),
         matrix_stream=np.array(mat_stream, dtype=np.int64),
         cost_stream=np.array(cost_stream, dtype=np.int64),
     )
@@ -152,6 +141,17 @@ def _load_instance(path: str):
 
     with np.load(path) as data:
         return np.array(data["A"], dtype=float), np.array(data["c"], dtype=float)
+
+
+def _write_json(payload: dict, out: Optional[str]) -> None:
+    """Write payload as indented JSON to the file out, or to stdout."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(out)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_solve(args) -> int:
@@ -168,13 +168,7 @@ def _cmd_solve(args) -> int:
         "ray": None if outcome.ray is None else [float(v) for v in outcome.ray],
         "message": outcome.message,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(args.out)
-    else:
-        sys.stdout.write(text)
+    _write_json(payload, args.out)
     return 0 if outcome.status in ("optimal", "unbounded") else 2
 
 
@@ -198,13 +192,7 @@ def _cmd_restore(args) -> int:
         "iterates": [asdict(rec) for rec in trace.iterates],
         "final_x": [float(v) for v in trace.final_x],
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(args.out)
-    else:
-        sys.stdout.write(text)
+    _write_json(payload, args.out)
     if not trace.converged:
         status = 2
     return status

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .cli import cap_blas_threads
 from .config import ExperimentConfig
-from .geometry import UnboundedDirection, mean_width_mc
+from .geometry import MeanWidthEstimate, UnboundedDirection, mean_width_mc
 from .restore import DegenerateBlock, restore
 from .sampling import CostVectorKind, EntryDistribution, SeedSpec, sample_cost_vector, sample_matrix
 from .solver import LPInstance, solve
@@ -78,7 +78,6 @@ class CampaignResult:
     records: List[RunRecord]
     errored: int
     partial: bool
-    files: List[str] = field(default_factory=list)
     ks: Optional[dict] = None
 
 
@@ -252,6 +251,9 @@ def run_sparse_cost_table(config: ExperimentConfig) -> CampaignResult:
     return CampaignResult(rows=rows, records=records, errored=errored, partial=errored > 0)
 
 
+_HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "count")
+
+
 def run_distribution_study(config: ExperimentConfig) -> CampaignResult:
     """Histogram, ECDF, and normal goodness-of-fit of the objective ensemble."""
     records = _solve_campaign_records(config)
@@ -263,8 +265,7 @@ def run_distribution_study(config: ExperimentConfig) -> CampaignResult:
         ks_payload = {"statistic": result.statistic, "p_value": result.p_value, "n_samples": result.n_samples}
     except ValueError as exc:
         ks_payload = {"error": str(exc)}
-    bins = histogram(values) if values else []
-    rows = [{"bin_left": left, "bin_right": right, "count": count} for (left, right, count) in bins]
+    rows = [dict(zip(_HISTOGRAM_COLUMNS, b)) for b in histogram(values)] if values else []
     return CampaignResult(rows=rows, records=records, errored=errored, partial=errored > 0, ks=ks_payload)
 
 
@@ -292,111 +293,97 @@ def run_algorithm_table(config: ExperimentConfig) -> CampaignResult:
     return CampaignResult(rows=rows, records=records, errored=errored, partial=partial)
 
 
+def _mean_width_task(task: Tuple) -> Tuple[dict, RunRecord]:
+    """One grid point's mean width: its (row, record)."""
+    grid_index, m, n, dist, trials, master_seed = task
+    mat_stream = stream_index(grid_index, 0, LANE_MATRIX)
+    A = sample_matrix(dist, m, n, SeedSpec(master_seed, mat_stream))
+    t0 = time.perf_counter()
+    try:
+        est = mean_width_mc(A, trials, SeedSpec(master_seed, stream_index(grid_index, 0, LANE_AUX)))
+        error = None
+    except (UnboundedDirection, RuntimeError) as exc:
+        nan = float("nan")
+        est, error = MeanWidthEstimate(estimate=nan, standard_error=nan, trials=trials, normalized=nan), str(exc)
+    wall = time.perf_counter() - t0
+    row = {
+        "m": m,
+        "n": n,
+        "trials": est.trials,
+        "estimate": est.estimate,
+        "standard_error": est.standard_error,
+        "normalized": est.normalized,
+    }
+    failed = error is not None
+    record = RunRecord(
+        m=m, n=n, replicate_index=0, stream_index=mat_stream, z_star=None if failed else est.estimate,
+        pivots=0, wall_time=wall, status="error" if failed else "optimal", error=error,
+    )
+    return row, record
+
+
+def _tail_task(task: Tuple) -> Tuple[dict, RunRecord]:
+    """One tail case's Monte Carlo estimate: its (row, record)."""
+    case_index, case, dist, master_seed = task
+    t = case.threshold()
+    spec = SeedSpec(master_seed, stream_index(case_index, 0, LANE_MATRIX))
+    t0 = time.perf_counter()
+    est = tail_probability_mc(np.full(case.n, case.n ** -0.5), dist, t, case.trials, spec)
+    wall = time.perf_counter() - t0
+    row = {
+        "n": case.n,
+        "delta": case.delta,
+        "eps": case.eps,
+        "t": t,
+        "p_hat": est.p_hat,
+        "se": est.standard_error,
+        "exponent_bound": math.exp(-case.delta * case.n / 2.0),
+    }
+    record = RunRecord(
+        m=case.trials, n=case.n, replicate_index=0, stream_index=spec.stream_index,
+        z_star=est.p_hat, pivots=0, wall_time=wall, status="optimal",
+    )
+    return row, record
+
+
+def _row_record_table(fn, tasks: List[Tuple], workers: int) -> CampaignResult:
+    """Run tasks that each return a (row, record) pair; a record with status
+    "error" counts as an excluded run."""
+    pairs = _map_tasks(fn, tasks, workers)
+    records = [rec for _, rec in pairs]
+    errored = sum(1 for rec in records if rec.status == "error")
+    return CampaignResult(rows=[row for row, _ in pairs], records=records, errored=errored, partial=errored > 0)
+
+
 def run_mean_width(config: ExperimentConfig) -> CampaignResult:
-    """Monte Carlo mean width per grid point."""
-    rows = []
-    records = []
-    errored = 0
-    for g, (m, n) in enumerate(config.grid):
-        mat_stream = stream_index(g, 0, LANE_MATRIX)
-        A = sample_matrix(config.dist, m, n, SeedSpec(config.master_seed, mat_stream))
-        t0 = time.perf_counter()
-        try:
-            est = mean_width_mc(A, config.trials, SeedSpec(config.master_seed, stream_index(g, 0, LANE_AUX)))
-        except (UnboundedDirection, RuntimeError) as exc:
-            errored += 1
-            wall = time.perf_counter() - t0
-            rows.append(
-                {
-                    "m": m,
-                    "n": n,
-                    "trials": config.trials,
-                    "estimate": float("nan"),
-                    "standard_error": float("nan"),
-                    "normalized": float("nan"),
-                }
-            )
-            records.append(
-                RunRecord(
-                    m=m, n=n, replicate_index=0, stream_index=mat_stream, z_star=None,
-                    pivots=0, wall_time=wall, status="error", error=str(exc),
-                )
-            )
-            continue
-        wall = time.perf_counter() - t0
-        rows.append(
-            {
-                "m": m,
-                "n": n,
-                "trials": est.trials,
-                "estimate": est.estimate,
-                "standard_error": est.standard_error,
-                "normalized": est.normalized,
-            }
-        )
-        records.append(
-            RunRecord(
-                m=m, n=n, replicate_index=0, stream_index=mat_stream, z_star=est.estimate,
-                pivots=0, wall_time=wall, status="optimal",
-            )
-        )
-    return CampaignResult(rows=rows, records=records, errored=errored, partial=errored > 0)
+    """Monte Carlo mean width, one task per grid point."""
+    tasks = [(g, m, n, config.dist, config.trials, config.master_seed) for g, (m, n) in enumerate(config.grid)]
+    return _row_record_table(_mean_width_task, tasks, config.workers)
 
 
 def run_tail_check(config: ExperimentConfig) -> CampaignResult:
-    """Monte Carlo moderate-deviation tails for the flat unit direction."""
-    rows = []
-    records = []
-    for idx, case in enumerate(config.tail_cases):
-        y = np.full(case.n, case.n ** -0.5)
-        t = case.threshold()
-        spec = SeedSpec(config.master_seed, stream_index(idx, 0, LANE_MATRIX))
-        t0 = time.perf_counter()
-        est = tail_probability_mc(y, config.dist, t, case.trials, spec)
-        wall = time.perf_counter() - t0
-        rows.append(
-            {
-                "n": case.n,
-                "delta": case.delta,
-                "eps": case.eps,
-                "t": t,
-                "p_hat": est.p_hat,
-                "se": est.standard_error,
-                "exponent_bound": math.exp(-case.delta * case.n / 2.0),
-            }
-        )
-        records.append(
-            RunRecord(
-                m=case.trials, n=case.n, replicate_index=0, stream_index=spec.stream_index,
-                z_star=est.p_hat, pivots=0, wall_time=wall, status="optimal",
-            )
-        )
-    return CampaignResult(rows=rows, records=records, errored=0, partial=False)
+    """Monte Carlo moderate-deviation tails for the flat unit direction, one
+    task per case."""
+    tasks = [(idx, case, config.dist, config.master_seed) for idx, case in enumerate(config.tail_cases)]
+    return _row_record_table(_tail_task, tasks, config.workers)
 
 
-_RUNNERS = {
-    "ObjectiveTable": run_objective_table,
-    "StdDevTable": run_stddev_table,
-    "SparseCostTable": run_sparse_cost_table,
-    "DistributionStudy": run_distribution_study,
-    "AlgorithmTable": run_algorithm_table,
-    "MeanWidth": run_mean_width,
-    "TailCheck": run_tail_check,
-}
-
-_TABLE_FILES = {
-    "ObjectiveTable": ("objective_table.csv", ("m", "n", "ab", "mu_hat", "relative_gap_pct")),
-    "StdDevTable": ("stddev_table.csv", ("m", "n", "ab", "sigma_hat", "sigma_sqrt_m")),
-    "SparseCostTable": ("sparse_cost_table.csv", ("k", "mu_hat", "relative_gap_pct")),
-    "AlgorithmTable": ("algorithm_table.csv", ("m", "n", "r", "z_x", "i0", "i1", "converged")),
-    "MeanWidth": ("mean_width.csv", ("m", "n", "trials", "estimate", "standard_error", "normalized")),
-    "TailCheck": ("tail_check.csv", ("n", "delta", "eps", "t", "p_hat", "se", "exponent_bound")),
+# Experiment kind -> (runner, main table file). A table's columns are its
+# rows' keys, in the order its runner writes them.
+_KINDS = {
+    "ObjectiveTable": (run_objective_table, "objective_table.csv"),
+    "StdDevTable": (run_stddev_table, "stddev_table.csv"),
+    "SparseCostTable": (run_sparse_cost_table, "sparse_cost_table.csv"),
+    "DistributionStudy": (run_distribution_study, "histogram.csv"),
+    "AlgorithmTable": (run_algorithm_table, "algorithm_table.csv"),
+    "MeanWidth": (run_mean_width, "mean_width.csv"),
+    "TailCheck": (run_tail_check, "tail_check.csv"),
 }
 
 
 def run_campaign(config: ExperimentConfig) -> CampaignResult:
     """Dispatch to the configured experiment kind."""
-    return _RUNNERS[config.experiment_kind](config)
+    return _KINDS[config.experiment_kind][0](config)
 
 
 def _format_cell(value) -> str:
@@ -407,12 +394,11 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: List[dict], footer: Optional[str] = None) -> None:
+def _write_csv(path: str, header: Sequence[str], rows: List[dict], footer: str) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_format_cell(row[col]) for col in header))
-    if footer is not None:
-        lines.append(footer)
+    lines.append(footer)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -425,14 +411,13 @@ def emit(config: ExperimentConfig, result: CampaignResult, output_dir: Optional[
     """
     out = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out, exist_ok=True)
-    files = []
-
     kind = config.experiment_kind
     footer = f"# excluded_replicates={result.errored}"
+    # Only the histogram can have no rows: every replicate failed.
+    header = tuple(result.rows[0]) if result.rows else _HISTOGRAM_COLUMNS
+    files = [os.path.join(out, _KINDS[kind][1])]
+    _write_csv(files[0], header, result.rows, footer)
     if kind == "DistributionStudy":
-        hist_path = os.path.join(out, "histogram.csv")
-        _write_csv(hist_path, ("bin_left", "bin_right", "count"), result.rows, footer)
-        files.append(hist_path)
         values = _optimal_values(result.records)
         ecdf_rows = [{"x": x, "ecdf": p} for (x, p) in ecdf(values)] if values else []
         ecdf_path = os.path.join(out, "ecdf.csv")
@@ -443,25 +428,16 @@ def emit(config: ExperimentConfig, result: CampaignResult, output_dir: Optional[
             fh.write(json.dumps(result.ks, sort_keys=True) + "\n")
         files.append(ks_path)
         if config.svg:
-            bins = [(row["bin_left"], row["bin_right"], row["count"]) for row in result.rows]
             svg_hist = os.path.join(out, "histogram.svg")
-            render.svg_histogram(bins, svg_hist)
+            render.svg_histogram([tuple(row.values()) for row in result.rows], svg_hist)
             files.append(svg_hist)
             svg_ecdf = os.path.join(out, "ecdf.svg")
             render.svg_steps([(row["x"], row["ecdf"]) for row in ecdf_rows], svg_ecdf)
             files.append(svg_ecdf)
-    else:
-        name, header = _TABLE_FILES[kind]
-        if result.rows and "relative_gap_vs_supplied_pct" in result.rows[0]:
-            header = tuple(header) + ("relative_gap_vs_supplied_pct",)
-        table_path = os.path.join(out, name)
-        _write_csv(table_path, header, result.rows, footer)
-        files.append(table_path)
 
     records_path = os.path.join(out, "records.jsonl")
     with open(records_path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in result.records:
             fh.write(rec.to_json() + "\n")
     files.append(records_path)
-    result.files = files
     return files

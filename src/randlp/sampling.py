@@ -15,12 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Cost vectors are unit within this; matrices only need finite entries.
-UNIT_NORM_TOL = 1e-12
-
-# is_compressible accepts inputs this far from unit norm.
-COMPRESSIBLE_NORM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -151,29 +145,10 @@ def sample_cost_vector(kind: CostVectorKind, n: int, seed: SeedSpec) -> np.ndarr
         return c
     gen = seed.generator()
     if kind.kind == "rescaled_rademacher":
-        signs = gen.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+        signs = rademacher_bits((n,), gen).astype(float) * 2.0 - 1.0
         return signs / math.sqrt(n)
     g = gen.standard_normal(n)
     nrm = float(np.linalg.norm(g))
     if nrm == 0.0:
         raise ValueError("degenerate zero draw for uniform_sphere")
     return g / nrm
-
-
-def is_compressible(c: np.ndarray, delta: float, rho: float) -> bool:
-    """True iff the top floor(delta*n) squared entries of c carry mass >= 1 - rho^2.
-
-    c must be unit norm; delta and rho must lie in (0, 1).
-    """
-    c = np.asarray(c, dtype=float)
-    if abs(float(np.linalg.norm(c)) - 1.0) > COMPRESSIBLE_NORM_TOL:
-        raise ValueError("c must have unit Euclidean norm")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
-    s = int(math.floor(delta * c.shape[0]))
-    if s == 0:
-        return False
-    top = np.sort(np.abs(c))[::-1][:s]
-    return bool(float(np.sum(top * top)) >= 1.0 - rho * rho)

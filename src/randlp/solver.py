@@ -54,6 +54,8 @@ REFACTOR_INTERVAL = 100
 RESIDUAL_CHECK = 10
 # Degenerate pivots allowed per (m + n) before Bland's rule takes over.
 DEGENERATE_BUDGET = 5
+# Pivots allowed per (m + n), over both phases, before a solve gives up.
+PIVOT_BUDGET = 50
 # Rows added to the pricing working set per full pass, per column of A.
 WORKING_SET = 2
 RESIDUAL_REFACTOR = 1e-10
@@ -96,9 +98,9 @@ class SolveOutcome:
     """Result of one solve: a certified optimum, an unbounded ray, or a failure.
 
     status is "optimal", "unbounded", or "numerical_failure". For "optimal",
-    z_star / x_star / y_star are set and satisfy A x* <= 1 + feas_tol,
+    z_star / x_star / y_star are set and satisfy A x* <= 1 + FEAS_TOL,
     ||A^T y* - c||_inf <= 1e-7, y* >= -1e-12, |<1,y*> - <c,x*>| <= 1e-7.
-    For "unbounded", ray d satisfies A d <= feas_tol and <c, d> >= 1 - 1e-9.
+    For "unbounded", ray d satisfies A d <= FEAS_TOL and <c, d> >= 1 - 1e-9.
     """
 
     status: str
@@ -199,16 +201,11 @@ def _multipliers(basis: _Basis, phase: int) -> np.ndarray:
     return basis.Binv.T @ cost_B
 
 
-def _run_phase(
-    basis: _Basis,
-    phase: int,
-    pivot_tol: float,
-    max_pivots: int,
-    state: dict,
-) -> str:
+def _run_phase(basis: _Basis, phase: int, state: dict) -> str:
     """Run one simplex phase to optimality. Returns "optimal" or a failure tag."""
     m = basis.m
     degenerate_budget = DEGENERATE_BUDGET * (m + basis.n)
+    max_pivots = PIVOT_BUDGET * (m + basis.n)
     refill = WORKING_SET * basis.n
     # The working set as a row mask (state["in_set"], None when it never
     # forms); its sorted indices and rows of A are gathered at the start of
@@ -254,7 +251,7 @@ def _run_phase(
             r_j = float(r[j])
         col = basis.column(j)
         d = basis.Binv @ col
-        pos_mask = d > pivot_tol
+        pos_mask = d > PIVOT_TOL
         if not pos_mask.any():
             # The standard form is bounded below by 0, so this is numeric dirt.
             return "no_pivot_row"
@@ -286,7 +283,7 @@ def _run_phase(
             pi += r_j * basis.Binv[pos]
 
 
-def _drive_out_artificials(basis: _Basis, pivot_tol: float, state: dict) -> None:
+def _drive_out_artificials(basis: _Basis, state: dict) -> None:
     """Pivot basic artificials out where possible; leftovers mark redundant rows."""
     for pos in range(basis.n):
         if basis.basis[pos] < basis.m:
@@ -295,7 +292,7 @@ def _drive_out_artificials(basis: _Basis, pivot_tol: float, state: dict) -> None
         vals = basis.A @ row
         vals[basis.in_basis[: basis.m]] = 0.0
         j = int(np.argmax(np.abs(vals)))
-        if abs(vals[j]) <= pivot_tol:
+        if abs(vals[j]) <= PIVOT_TOL:
             continue
         d = basis.Binv @ basis.column(j)
         basis.swap(pos, j, d, float(basis.xB[pos] / d[pos]))
@@ -304,7 +301,7 @@ def _drive_out_artificials(basis: _Basis, pivot_tol: float, state: dict) -> None
     np.clip(basis.xB, 0.0, None, out=basis.xB)
 
 
-def _extract_optimal(inst: LPInstance, basis: _Basis, pivots: int, feas_tol: float) -> SolveOutcome:
+def _extract_optimal(inst: LPInstance, basis: _Basis, pivots: int) -> SolveOutcome:
     basis.refactor()
     y = np.zeros(basis.m)
     y_positions = basis.basis < basis.m
@@ -317,8 +314,8 @@ def _extract_optimal(inst: LPInstance, basis: _Basis, pivots: int, feas_tol: flo
     dual_resid = float(np.max(np.abs(inst.A.T @ y - inst.c)))
     gap = abs(z - float(np.dot(inst.c, x)))
     if (
-        artificial_mass > feas_tol
-        or max_viol > feas_tol
+        artificial_mass > FEAS_TOL
+        or max_viol > FEAS_TOL
         or dual_resid > DUAL_RESIDUAL_TOL
         or gap > DUALITY_GAP_TOL
     ):
@@ -333,7 +330,7 @@ def _extract_optimal(inst: LPInstance, basis: _Basis, pivots: int, feas_tol: flo
     return SolveOutcome(status="optimal", pivots=pivots, z_star=z, x_star=x, y_star=y)
 
 
-def _extract_unbounded(inst: LPInstance, basis: _Basis, pivots: int, feas_tol: float) -> SolveOutcome:
+def _extract_unbounded(inst: LPInstance, basis: _Basis, pivots: int) -> SolveOutcome:
     basis.refactor()
     pi = _multipliers(basis, 1)
     along_c = float(np.dot(inst.c, pi))
@@ -344,7 +341,7 @@ def _extract_unbounded(inst: LPInstance, basis: _Basis, pivots: int, feas_tol: f
             message="phase-1 multipliers degenerate; no ray certificate",
         )
     ray = pi / along_c
-    if float(np.max(inst.A @ ray)) > feas_tol:
+    if float(np.max(inst.A @ ray)) > FEAS_TOL:
         return SolveOutcome(
             status="numerical_failure",
             pivots=pivots,
@@ -353,34 +350,27 @@ def _extract_unbounded(inst: LPInstance, basis: _Basis, pivots: int, feas_tol: f
     return SolveOutcome(status="unbounded", pivots=pivots, ray=ray)
 
 
-def solve(
-    inst: LPInstance,
-    feas_tol: float = FEAS_TOL,
-    pivot_tol: float = PIVOT_TOL,
-    max_pivots: Optional[int] = None,
-) -> SolveOutcome:
+def solve(inst: LPInstance) -> SolveOutcome:
     """Solve the instance exactly; see SolveOutcome for the certificates.
 
     Deterministic for fixed input. Never silently wrong: any tolerance breach
     comes back as status "numerical_failure" with a diagnostic message.
     """
     m, n = inst.m, inst.n
-    if max_pivots is None:
-        max_pivots = 50 * (m + n)
     basis = _Basis(inst.A, inst.c)
     in_set = np.zeros(m, dtype=bool) if WORKING_SET * n < m else None
     state = {"pivots": 0, "degenerate": 0, "bland": False, "in_set": in_set}
 
-    tag = _run_phase(basis, 1, pivot_tol, max_pivots, state)
+    tag = _run_phase(basis, 1, state)
     if tag != "optimal":
         return SolveOutcome(status="numerical_failure", pivots=state["pivots"], message=f"phase 1: {tag}")
     basis.refactor()
     phase1_objective = float(np.sum(basis.xB[basis.basis >= m]))
-    if phase1_objective > feas_tol * max(1.0, float(np.linalg.norm(inst.c))):
-        return _extract_unbounded(inst, basis, state["pivots"], feas_tol)
+    if phase1_objective > FEAS_TOL * max(1.0, float(np.linalg.norm(inst.c))):
+        return _extract_unbounded(inst, basis, state["pivots"])
 
-    _drive_out_artificials(basis, pivot_tol, state)
-    tag = _run_phase(basis, 2, pivot_tol, max_pivots, state)
+    _drive_out_artificials(basis, state)
+    tag = _run_phase(basis, 2, state)
     if tag != "optimal":
         return SolveOutcome(status="numerical_failure", pivots=state["pivots"], message=f"phase 2: {tag}")
-    return _extract_optimal(inst, basis, state["pivots"], feas_tol)
+    return _extract_optimal(inst, basis, state["pivots"])

@@ -115,7 +115,7 @@ def ks_test(samples: Sequence[float]) -> KSResult:
     if summary.std == 0.0:
         raise ValueError("degenerate sample: zero standard deviation")
     z = (arr - summary.mean) / summary.std
-    F = 0.5 * np.array([math.erfc(-t / math.sqrt(2.0)) for t in z])
+    F = np.array([normal_cdf(t) for t in z])
     i = np.arange(1, n + 1)
     d_plus = float(np.max(i / n - F))
     d_minus = float(np.max(F - (i - 1) / n))

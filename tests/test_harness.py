@@ -455,6 +455,36 @@ class TestEmission:
         assert os.path.exists(files[0])
 
 
+# One tiny config per experiment kind. Sizes stay at or below 100 x 10: at
+# tall sizes pivot paths depend on the BLAS thread count, which may differ
+# between this process and the spawned workers.
+_KIND_CONFIGS = {
+    "ObjectiveTable": {"grid": [[60, 8]], "sample_size": 4},
+    "StdDevTable": {"grid": [[50, 5], [80, 10]], "sample_size": 3, "distribution": {"kind": "rademacher"}},
+    "SparseCostTable": {"grid": [[40, 6]], "sample_size": 3, "k_values": [1, 2], "baseline_mu": 0.5},
+    "DistributionStudy": {"grid": [[30, 5]], "sample_size": 16, "svg": True},
+    "AlgorithmTable": {"grid": [[100, 10]], "sample_size": 3, "cost": {"kind": "uniform_sphere"}},
+    # (6, 5) has an unbounded direction, so one point emits a NaN row.
+    "MeanWidth": {"grid": [[40, 4], [6, 5]], "trials": 32},
+    "TailCheck": {
+        "distribution": {"kind": "rademacher"},
+        "tail_cases": [
+            {"n": 400, "delta": 0.01, "eps": 0.1, "trials": 2000, "t": 1.8},
+            {"n": 100, "delta": 0.04, "eps": 0.0, "trials": 2000},
+        ],
+    },
+}
+
+
+def _canonical_records(path):
+    out = []
+    for line in path.read_text().splitlines():
+        payload = json.loads(line)
+        payload.pop("wall_time")
+        out.append(json.dumps(payload, sort_keys=True))
+    return out
+
+
 class TestWorkerInvariance:
     def test_two_workers_match_one(self):
         base = {"experiment": "ObjectiveTable", "grid": [[60, 8]], "sample_size": 4, "master_seed": 11}
@@ -471,3 +501,37 @@ class TestWorkerInvariance:
             return out
 
         assert canon(serial.records) == canon(pooled.records)
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_CONFIGS))
+    def test_two_workers_emit_the_same_files(self, kind, tmp_path):
+        emitted = []
+        for workers in (1, 2):
+            cfg = config_from_mapping(dict(_KIND_CONFIGS[kind], experiment=kind, master_seed=11, workers=workers))
+            files = emit(cfg, run_campaign(cfg), output_dir=str(tmp_path / f"w{workers}"))
+            emitted.append([tmp_path / f"w{workers}" / os.path.basename(f) for f in files])
+        serial, pooled = emitted
+        assert [p.name for p in serial] == [p.name for p in pooled]
+        for a, b in zip(serial, pooled):
+            if a.name == "records.jsonl":
+                assert _canonical_records(a) == _canonical_records(b)
+            else:
+                assert a.read_bytes() == b.read_bytes(), a.name
+
+    @pytest.mark.parametrize(
+        "kind, runner", [("MeanWidth", run_mean_width), ("TailCheck", run_tail_check)], ids=["MeanWidth", "TailCheck"]
+    )
+    def test_monte_carlo_kinds_dispatch_through_task_map(self, kind, runner, monkeypatch):
+        # The spy runs the tasks in this process but records the worker
+        # count each runner asked for.
+        seen = []
+
+        def spy(fn, tasks, workers):
+            seen.append((len(tasks), workers))
+            return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(harness, "_map_tasks", spy)
+        cfg = config_from_mapping(dict(_KIND_CONFIGS[kind], experiment=kind, master_seed=11, workers=2))
+        result = runner(cfg)
+        # Both configs have two grid points or cases.
+        assert seen == [(2, 2)]
+        assert len(result.rows) == len(result.records) == 2

@@ -1,5 +1,5 @@
 """
-Tests for seeded matrix/cost-vector sampling and compressibility.
+Tests for seeded matrix/cost-vector sampling.
 
 """
 
@@ -14,7 +14,6 @@ from randlp.sampling import (
     EntryDistribution,
     SeedSpec,
     draw_entries,
-    is_compressible,
     sample_cost_vector,
     sample_matrix,
 )
@@ -116,68 +115,3 @@ class TestCostVectors:
             c = sample_cost_vector(CostVectorKind.uniform_sphere(), 1000, SeedSpec(seed, 0))
             assert float(np.max(np.abs(c))) < 0.2
 
-
-class TestCompressibility:
-    def test_spike_is_compressible(self):
-        c = np.zeros(50)
-        c[0] = 1.0
-        assert is_compressible(c, 0.02, 0.1) is True
-
-    def test_flat_is_not(self):
-        c = np.full(50, 1.0 / math.sqrt(50))
-        assert is_compressible(c, 0.02, 0.1) is False
-
-    def test_boundary_case(self):
-        # Top entry holds 0.64 of the mass; threshold 1 - 0.6^2 = 0.64 met.
-        n = 10
-        c = np.full(n, 0.6 / math.sqrt(n - 1))
-        c[0] = 0.8
-        assert is_compressible(c, 0.1, 0.6) is True
-
-    def test_nonunit_rejected(self):
-        with pytest.raises(ValueError):
-            is_compressible(np.ones(4), 0.5, 0.5)
-
-    def test_parameter_ranges(self):
-        c = np.zeros(4)
-        c[0] = 1.0
-        for bad in (0.0, 1.0, -0.1):
-            with pytest.raises(ValueError):
-                is_compressible(c, bad, 0.5)
-            with pytest.raises(ValueError):
-                is_compressible(c, 0.5, bad)
-
-    def test_floor_zero_sparsity(self):
-        c = np.zeros(4)
-        c[0] = 1.0
-        # floor(0.1 * 4) = 0 allowed entries: nothing can carry the mass.
-        assert is_compressible(c, 0.1, 0.9) is False
-
-    def test_monotonicity_seeded(self):
-        gen = np.random.default_rng(17)
-        deltas = [0.05, 0.1, 0.2, 0.4, 0.8]
-        rhos = [0.1, 0.3, 0.5, 0.7, 0.9]
-        for _ in range(20):
-            c = gen.standard_normal(40)
-            c /= np.linalg.norm(c)
-            table = {(d, r): is_compressible(c, d, r) for d in deltas for r in rhos}
-            for i, d in enumerate(deltas[:-1]):
-                for r in rhos:
-                    if table[(d, r)]:
-                        assert table[(deltas[i + 1], r)]
-            for d in deltas:
-                for j, r in enumerate(rhos[:-1]):
-                    if table[(d, r)]:
-                        assert table[(d, rhos[j + 1])]
-
-    def test_k_spike_threshold_exact(self):
-        # For the k-spike vector the top-s mass is min(s, k)/k with
-        # s = floor(delta * n); compressibility reduces to that ratio.
-        n = 50
-        for k in (1, 2, 5, 10, 25):
-            c = sample_cost_vector(CostVectorKind.k_spike(k), n, SeedSpec(0, 0))
-            for delta in (0.02, 0.1, 0.3, 0.6):
-                for rho in (0.2, 0.5, 0.8):
-                    s = math.floor(delta * n)
-                    expected = s > 0 and min(s, k) / k >= 1.0 - rho * rho
-                    assert is_compressible(c, delta, rho) is expected

@@ -256,8 +256,8 @@ class TestWorkingSetPricing:
         engaged = []
         run_phase = solver._run_phase
 
-        def spy(basis, phase, pivot_tol, max_pivots, state):
-            tag = run_phase(basis, phase, pivot_tol, max_pivots, state)
+        def spy(basis, phase, state):
+            tag = run_phase(basis, phase, state)
             engaged.append(state["bland"])
             return tag
 
@@ -310,10 +310,10 @@ class TestPivotUpdates:
         current = {}
         run_phase, price, multipliers = solver._run_phase, solver._price, solver._multipliers
 
-        def phase_spy(basis, phase, pivot_tol, max_pivots, state):
+        def phase_spy(basis, phase, state):
             current["basis"] = basis
             entry_set = None if state["in_set"] is None else state["in_set"].copy()
-            tag = run_phase(basis, phase, pivot_tol, max_pivots, state)
+            tag = run_phase(basis, phase, state)
             exit_set = None if state["in_set"] is None else state["in_set"].copy()
             current.setdefault("sets", []).append((phase, entry_set, exit_set))
             return tag

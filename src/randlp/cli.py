@@ -109,17 +109,14 @@ def _cmd_generate(args) -> int:
     import numpy as np
 
     from .config import ConfigError
-    from .harness import LANE_COST, LANE_MATRIX, stream_index
-    from .sampling import SeedSpec, sample_cost_vector, sample_matrix
+    from .harness import LANE_COST, _sample_instance, stream_index
 
     config = _load_config(args)
     if not config.grid:
         raise ConfigError("generate needs a non-empty grid; the first entry is used")
     m, n = config.grid[0]
-    mat_stream = stream_index(0, 0, LANE_MATRIX)
-    cost_stream = stream_index(0, 0, LANE_COST)
-    A = sample_matrix(config.dist, m, n, SeedSpec(config.master_seed, mat_stream))
-    c = sample_cost_vector(config.cost_kind, n, SeedSpec(config.master_seed, cost_stream))
+    # Replicate 0 of grid point 0, drawn as a campaign draws it.
+    A, c, ident = _sample_instance((0, 0, m, n, config.dist, config.cost_kind, 0, config.master_seed, None))
     out = args.out or "instance.npz"
     if not out.endswith(".npz"):
         out += ".npz"
@@ -129,8 +126,8 @@ def _cmd_generate(args) -> int:
         c=c,
         dist_kind=np.array(config.dist.kind),
         master_seed=np.array(config.master_seed, dtype=np.uint64),
-        matrix_stream=np.array(mat_stream, dtype=np.int64),
-        cost_stream=np.array(cost_stream, dtype=np.int64),
+        matrix_stream=np.array(ident["stream_index"], dtype=np.int64),
+        cost_stream=np.array(stream_index(0, 0, LANE_COST), dtype=np.int64),
     )
     print(out)
     return 0

@@ -1,16 +1,28 @@
 """Campaign configuration: a YAML file naming the experiment kind, the
 ensemble, the (m, n) grid, seeding, and output destination.
 
+Each setting is declared once, on the type it builds. A top-level key is a
+field of ExperimentConfig (experiment, distribution and cost name the fields
+experiment_kind, dist and cost_kind); restore and each tail case are mappings
+of RestoreOptions and TailCase fields; distribution and cost are kind-tagged
+mappings, {kind: k_spike, k: 3}, that call the same-named classmethod of
+EntryDistribution or CostVectorKind with the other keys. A key left out
+takes the default declared there. Values are checked against the declared
+type, never cast: an int must be a YAML integer, a bool a YAML bool, a string
+a YAML string, and a float a number or a numeric string (PyYAML reads 1e-12
+as a string). Unknown keys are rejected, so a typo cannot silently change an
+experiment.
+
 CLI flags override file values; the RANDLP_OUTPUT_DIR environment variable
 overrides the file's output_dir (and is itself overridden by an explicit
---out flag). Unknown keys are rejected so that a typo cannot silently change
-an experiment.
+--out flag).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+import inspect
+from dataclasses import dataclass, is_dataclass
+from typing import Mapping, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -31,23 +43,10 @@ COST_POLICIES = ("FixedAcrossReplicates", "FreshPerReplicate")
 # Replicate indices are packed into stream indices below this bound.
 MAX_REPLICATES = 2**20
 
-_TOP_KEYS = {
-    "experiment",
-    "distribution",
-    "grid",
-    "sample_size",
-    "cost",
-    "cost_policy",
-    "master_seed",
-    "output_dir",
-    "workers",
-    "k_values",
-    "baseline_mu",
-    "trials",
-    "tail_cases",
-    "restore",
-    "svg",
-}
+# YAML keys of the ExperimentConfig fields whose names differ from them.
+_KEYS = {"experiment_kind": "experiment", "dist": "distribution", "cost_kind": "cost"}
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
 class ConfigError(Exception):
@@ -62,8 +61,8 @@ class TailCase:
 
     n: int
     delta: float
-    eps: float
-    trials: int
+    eps: float = 0.0
+    trials: int = 1_000_000
     t: Optional[float] = None
 
     def threshold(self) -> float:
@@ -75,19 +74,19 @@ class TailCase:
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_kind: str
-    dist: EntryDistribution
-    grid: Tuple[Tuple[int, int], ...]
-    sample_size: int
-    cost_kind: CostVectorKind
-    cost_policy: str
-    master_seed: int
-    output_dir: str
-    workers: int
+    dist: EntryDistribution = EntryDistribution.gaussian()
+    grid: Tuple[Tuple[int, int], ...] = ()
+    sample_size: int = 50
+    cost_kind: CostVectorKind = CostVectorKind.rescaled_rademacher()
+    cost_policy: str = "FixedAcrossReplicates"
+    master_seed: int = 0
+    output_dir: str = "results"
+    workers: int = 1
     k_values: Tuple[int, ...] = ()
     baseline_mu: Optional[float] = None
     trials: int = 200
     tail_cases: Tuple[TailCase, ...] = ()
-    restore: RestoreOptions = field(default_factory=RestoreOptions)
+    restore: RestoreOptions = RestoreOptions()
     svg: bool = False
 
     def __post_init__(self) -> None:
@@ -132,135 +131,74 @@ class ExperimentConfig:
                 raise ConfigError("each tail case needs delta > 0 and eps in [0, 1)")
 
 
-def _parse_distribution(raw: object) -> EntryDistribution:
-    if raw is None:
-        return EntryDistribution.gaussian()
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError("distribution must be a mapping with a 'kind' key")
-    kind = raw["kind"]
-    extra = set(raw) - {"kind", "p", "variance"}
-    if extra:
-        raise ConfigError(f"unknown distribution keys {sorted(extra)}")
-    try:
-        if kind == "gaussian":
-            return EntryDistribution.gaussian()
-        if kind == "rademacher":
-            return EntryDistribution.rademacher()
-        if kind == "bernoulli_normal":
-            return EntryDistribution.bernoulli_normal(
-                p=float(raw.get("p", 0.5)), variance=float(raw.get("variance", 2.0))
-            )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown distribution kind {kind!r}")
-
-
-def _parse_cost(raw: object) -> CostVectorKind:
-    if raw is None:
-        return CostVectorKind.rescaled_rademacher()
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError("cost must be a mapping with a 'kind' key")
-    kind = raw["kind"]
-    extra = set(raw) - {"kind", "k"}
-    if extra:
-        raise ConfigError(f"unknown cost keys {sorted(extra)}")
-    try:
-        if kind == "rescaled_rademacher":
-            return CostVectorKind.rescaled_rademacher()
-        if kind == "uniform_sphere":
-            return CostVectorKind.uniform_sphere()
-        if kind == "k_spike":
-            return CostVectorKind.k_spike(int(raw.get("k", 1)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown cost kind {kind!r}")
-
-
-def _parse_grid(raw: object) -> Tuple[Tuple[int, int], ...]:
-    if raw is None:
-        return ()
-    if not isinstance(raw, list):
-        raise ConfigError("grid must be a list of [m, n] pairs")
-    out = []
-    for entry in raw:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise ConfigError(f"grid entry {entry!r} is not an [m, n] pair")
-        out.append((int(entry[0]), int(entry[1])))
-    return tuple(out)
-
-
-def _parse_tail_cases(raw: object) -> Tuple[TailCase, ...]:
-    if raw is None:
-        return ()
-    if not isinstance(raw, list):
-        raise ConfigError("tail_cases must be a list of mappings")
-    cases = []
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise ConfigError("each tail case must be a mapping")
-        extra = set(entry) - {"n", "delta", "eps", "trials", "t"}
-        if extra:
-            raise ConfigError(f"unknown tail case keys {sorted(extra)}")
+def _check(hint, raw: object, key: str) -> object:
+    """raw as a value of the type hint: checked, never cast, except that an
+    integer or a numeric string may stand for a float (PyYAML reads 1e-12 as
+    a string). Settings types are built from their mappings."""
+    if get_origin(hint) is Union:  # Optional[X]
+        return None if raw is None else _check(get_args(hint)[0], raw, key)
+    if get_origin(hint) is tuple:
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {raw!r}")
+        items = get_args(hint)
+        if items[-1] is Ellipsis:  # Tuple[X, ...]
+            return tuple(_check(items[0], value, f"{key} entry") for value in raw)
+        if len(raw) != len(items):
+            raise ConfigError(f"{key} must be a list of {len(items)} values, got {raw!r}")
+        return tuple(_check(item, value, key) for item, value in zip(items, raw))
+    if is_dataclass(hint):
+        return _settings(hint, raw, key)
+    if hint is float and not isinstance(raw, bool) and isinstance(raw, (int, float, str)):
         try:
-            cases.append(
-                TailCase(
-                    n=int(entry["n"]),
-                    delta=float(entry["delta"]),
-                    eps=float(entry.get("eps", 0.0)),
-                    trials=int(entry.get("trials", 1_000_000)),
-                    t=None if entry.get("t") is None else float(entry["t"]),
-                )
-            )
-        except KeyError as exc:
-            raise ConfigError(f"tail case missing key {exc}") from exc
-    return tuple(cases)
+            return float(raw)
+        except ValueError:
+            pass
+    elif isinstance(raw, hint) and (hint is bool or not isinstance(raw, bool)):
+        return raw
+    raise ConfigError(f"{key} must be {_TYPE_NAMES[hint]}, got {raw!r}")
 
 
-def _parse_restore(raw: object) -> RestoreOptions:
-    if raw is None:
-        return RestoreOptions()
+def _settings(cls: type, raw: object, key: str) -> object:
+    """Build a settings type from its mapping. A kind-tagged type (one with
+    _KINDS) is built by the classmethod its kind names, from the other keys."""
     if not isinstance(raw, dict):
-        raise ConfigError("restore must be a mapping")
-    extra = set(raw) - {"eps0", "shrink", "max_iters", "feas_tol"}
+        raise ConfigError(f"{key} must be a mapping, got {raw!r}")
+    kinds = getattr(cls, "_KINDS", None)
+    if kinds is None:
+        return _build(cls, raw, key)
+    kind = raw.get("kind")
+    if kind not in kinds:
+        raise ConfigError(f"{key} kind must be one of {', '.join(kinds)}, got {kind!r}")
+    rest = {k: v for k, v in raw.items() if k != "kind"}
+    return _build(getattr(cls, kind), rest, f"{kind} {key}")
+
+
+def _build(maker, raw: dict, where: str, keys: Mapping[str, str] = {}) -> object:
+    """Call maker with one argument per key of raw. Each key names a parameter
+    (or, through keys, is renamed to one), and a parameter left out takes its
+    default."""
+    params = inspect.signature(maker).parameters
+    hints = get_type_hints(maker)
+    name_of = {keys.get(name, name): name for name in params}
+    extra = set(raw) - set(name_of)
     if extra:
-        raise ConfigError(f"unknown restore keys {sorted(extra)}")
-    # PyYAML reads exponent floats without a dot (1e-12) as strings.
-    return RestoreOptions(
-        eps0=float(raw.get("eps0", 0.1)),
-        shrink=float(raw.get("shrink", 0.1)),
-        max_iters=int(raw.get("max_iters", 50)),
-        feas_tol=float(raw.get("feas_tol", 1e-12)),
-    )
+        raise ConfigError(f"unknown {where} keys {sorted(extra)}")
+    kwargs = {}
+    for key, name in name_of.items():
+        if key in raw:
+            kwargs[name] = _check(hints[name], raw[key], key)
+        elif params[name].default is inspect.Parameter.empty:
+            raise ConfigError(f"{where} is missing key {key!r}")
+    try:
+        return maker(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
-    extra = set(raw) - _TOP_KEYS
-    if extra:
-        raise ConfigError(f"unknown config keys {sorted(extra)}")
-    if "experiment" not in raw:
-        raise ConfigError("config needs an 'experiment' key")
-    try:
-        return ExperimentConfig(
-            experiment_kind=str(raw["experiment"]),
-            dist=_parse_distribution(raw.get("distribution")),
-            grid=_parse_grid(raw.get("grid")),
-            sample_size=int(raw.get("sample_size", 50)),
-            cost_kind=_parse_cost(raw.get("cost")),
-            cost_policy=str(raw.get("cost_policy", "FixedAcrossReplicates")),
-            master_seed=int(raw.get("master_seed", 0)),
-            output_dir=str(raw.get("output_dir", "results")),
-            workers=int(raw.get("workers", 1)),
-            k_values=tuple(int(k) for k in raw.get("k_values", [])),
-            baseline_mu=None if raw.get("baseline_mu") is None else float(raw["baseline_mu"]),
-            trials=int(raw.get("trials", 200)),
-            tail_cases=_parse_tail_cases(raw.get("tail_cases")),
-            restore=_parse_restore(raw.get("restore")),
-            svg=bool(raw.get("svg", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    return _build(ExperimentConfig, raw, "config", _KEYS)
 
 
 def load_config(path: str) -> ExperimentConfig:

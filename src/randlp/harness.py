@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cli import cap_blas_threads
-from .config import ExperimentConfig
+from .config import MAX_REPLICATES, ExperimentConfig
 from .geometry import MeanWidthEstimate, UnboundedDirection, mean_width_mc
 from .restore import DegenerateBlock, restore
 from .sampling import CostVectorKind, EntryDistribution, SeedSpec, sample_cost_vector, sample_matrix
@@ -37,14 +37,13 @@ LANE_MATRIX = 0
 LANE_COST = 1
 LANE_AUX = 2
 _LANES = 8
-_REPLICATE_SPACE = 2**20
 
 
 def stream_index(grid_index: int, replicate_index: int, lane: int) -> int:
     """Pack task coordinates into a nonnegative stream index."""
-    if grid_index < 0 or not (0 <= replicate_index < _REPLICATE_SPACE) or not (0 <= lane < _LANES):
+    if grid_index < 0 or not (0 <= replicate_index < MAX_REPLICATES) or not (0 <= lane < _LANES):
         raise ValueError("stream coordinates out of range")
-    return (grid_index * _REPLICATE_SPACE + replicate_index) * _LANES + lane
+    return (grid_index * MAX_REPLICATES + replicate_index) * _LANES + lane
 
 
 @dataclass

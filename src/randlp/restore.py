@@ -21,6 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from .linalg import SingularGram, gram_solve, pruned_gram_solve
+from .solver import UNIT_COST_TOL
 
 TINY_COLUMN_NORM = 1e-10
 
@@ -92,7 +93,7 @@ def restore(
     m, n = A.shape
     if not (m > n >= 1):
         raise ValueError("need m > n >= 1")
-    if abs(float(np.linalg.norm(c)) - 1.0) > 1e-9:
+    if abs(float(np.linalg.norm(c)) - 1.0) > UNIT_COST_TOL:
         raise ValueError("c must have unit Euclidean norm")
 
     if initial_x is None:

@@ -96,7 +96,7 @@ class CostVectorKind:
         return cls("uniform_sphere")
 
     @classmethod
-    def k_spike(cls, k: int) -> "CostVectorKind":
+    def k_spike(cls, k: int = 1) -> "CostVectorKind":
         return cls("k_spike", k=k)
 
 

@@ -60,6 +60,7 @@ PIVOT_BUDGET = 50
 WORKING_SET = 2
 RESIDUAL_REFACTOR = 1e-10
 
+# How far from 1 the norm of a vector taken as unit-norm may be.
 UNIT_COST_TOL = 1e-9
 
 

@@ -18,6 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .sampling import EntryDistribution, SeedSpec, draw_entries, rademacher_bits
+from .solver import UNIT_COST_TOL
 
 KS_SERIES_TERM_TOL = 1e-12
 KS_SERIES_MAX_TERMS = 100000
@@ -179,7 +180,7 @@ def tail_probability_mc(
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("y must be a vector")
-    if abs(float(np.linalg.norm(y)) - 1.0) > 1e-9:
+    if abs(float(np.linalg.norm(y)) - 1.0) > UNIT_COST_TOL:
         raise ValueError("y must have unit Euclidean norm")
     if trials < 1000:
         raise ValueError("need at least 1000 trials")

@@ -58,6 +58,34 @@ class TestParsing:
         with pytest.raises(ConfigError):
             config_from_mapping(minimal(distribution={"kind": "bernoulli_normal", "p": 0.25, "variance": 2.0}))
 
+    def test_k_spike_defaults_to_one(self):
+        cfg = config_from_mapping(minimal(cost={"kind": "k_spike"}))
+        assert cfg.cost_kind.kind == "k_spike" and cfg.cost_kind.k == 1
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"sample_size": 2.7},
+            {"grid": [[100.9, 10]]},
+            {"workers": True},
+            {"svg": "false"},
+            {"distribution": {"kind": "gaussian", "p": 0.3}},
+            {"cost": {"kind": "uniform_sphere", "k": 3}},
+        ],
+        ids=["float-int", "float-grid", "bool-int", "str-bool", "gaussian-p", "sphere-k"],
+    )
+    def test_values_not_cast_or_ignored(self, over):
+        with pytest.raises(ConfigError, match=next(iter(over))):
+            config_from_mapping(minimal(**over))
+
+    def test_floats_accept_integers_and_numeric_strings(self):
+        # PyYAML reads 1e-12 (no dot) as a string.
+        cfg = config_from_mapping(minimal("AlgorithmTable", restore={"eps0": "2e-1", "feas_tol": 0}))
+        assert cfg.restore.eps0 == 0.2 and cfg.restore.feas_tol == 0.0
+        assert isinstance(cfg.restore.feas_tol, float)
+        with pytest.raises(ConfigError, match="feas_tol"):
+            config_from_mapping(minimal("AlgorithmTable", restore={"feas_tol": "tiny"}))
+
     def test_missing_experiment(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"grid": [[10, 2]]})
@@ -132,6 +160,13 @@ class TestValidation:
         bad = dict(base, tail_cases=[{"n": 400, "delta": 0.0, "trials": 2000}])
         with pytest.raises(ConfigError):
             config_from_mapping(bad)
+
+    def test_tail_case_defaults_and_required_keys(self):
+        base = {"experiment": "TailCheck", "master_seed": 1}
+        cfg = config_from_mapping(dict(base, tail_cases=[{"n": 400, "delta": 0.01}]))
+        assert cfg.tail_cases == (TailCase(n=400, delta=0.01, eps=0.0, trials=1_000_000),)
+        with pytest.raises(ConfigError, match="'delta'"):
+            config_from_mapping(dict(base, tail_cases=[{"n": 400, "eps": 0.1}]))
 
     @pytest.mark.parametrize(
         "key, value", [("eps0", 2.0), ("shrink", 0.0), ("max_iters", 0), ("feas_tol", -1e-12)]

@@ -455,9 +455,9 @@ class TestEmission:
         assert os.path.exists(files[0])
 
 
-# One tiny config per experiment kind. Sizes stay at or below 100 x 10: at
-# tall sizes pivot paths depend on the BLAS thread count, which may differ
-# between this process and the spawned workers.
+# One tiny config per experiment kind. Pivot paths at tall sizes depend on the
+# BLAS thread count; conftest.py caps this process at one thread, as the
+# spawned workers are, and sizes stay small to keep the 14 campaigns quick.
 _KIND_CONFIGS = {
     "ObjectiveTable": {"grid": [[60, 8]], "sample_size": 4},
     "StdDevTable": {"grid": [[50, 5], [80, 10]], "sample_size": 3, "distribution": {"kind": "rademacher"}},

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands mirror the experiment kinds: `table`, `dist`, `meanwidth`, and
-`tailcheck` run campaigns from a YAML config; `generate`, `solve`, and
-`restore` work on single .npz instances. Every subcommand accepts --config,
---seed, --workers, and --out. Exit codes: 0 full success, 2 partial success
-(some replicates errored or a restoration did not converge), 1 bad
-configuration or usage.
+`tailcheck` run campaigns from a YAML config and take --config, --seed,
+--workers, and --out; `generate` (--config, --seed, --out), `solve` (--out),
+and `restore` (--config, --out) work on single .npz instances. Exit codes: 0
+full success, 2 partial success (some replicates errored or a restoration did
+not converge), 1 bad configuration or usage.
 """
 
 from __future__ import annotations
@@ -23,45 +23,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="YAML campaign/instance configuration")
-    sub.add_argument("--seed", type=int, help="override the config's master_seed")
-    sub.add_argument("--workers", type=int, help="override the config's worker count")
-    sub.add_argument("--out", help="output file (instance commands) or directory (campaigns)")
+_FLAGS = {
+    "--config": {"help": "YAML campaign/instance configuration"},
+    "--seed": {"type": int, "help": "override the config's master_seed"},
+    "--workers": {"type": int, "help": "override the config's worker count"},
+    "--out": {"help": "output file (instance commands) or directory (campaigns)"},
+}
+
+
+def _add_command(subs, name: str, run, flags, blurb: str, instance: bool = False) -> None:
+    sub = subs.add_parser(name, help=blurb)
+    if instance:
+        sub.add_argument("instance", help="path to an .npz instance")
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
+    sub.set_defaults(run=run)
+
+
+def _kinds(command: str) -> List[str]:
+    """The experiment kinds that a campaign command runs."""
+    from .config import EXPERIMENT_KINDS
+
+    return [kind for kind, runs_it in EXPERIMENT_KINDS.items() if runs_it == command]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .config import EXPERIMENT_KINDS
+
     parser = _Parser(prog="randlp", description="Random linear program experiments")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    gen = subs.add_parser("generate", help="sample one instance to an .npz file")
-    _add_common(gen)
-
-    solve_p = subs.add_parser("solve", help="solve an .npz instance exactly")
-    solve_p.add_argument("instance", help="path to an .npz instance")
-    _add_common(solve_p)
-
-    restore_p = subs.add_parser("restore", help="run feasibility restoration on an .npz instance")
-    restore_p.add_argument("instance", help="path to an .npz instance")
-    _add_common(restore_p)
-
-    for name, blurb in (
-        ("table", "run a table campaign (objective, stddev, sparse-cost, or algorithm)"),
-        ("dist", "run the distribution study"),
-        ("meanwidth", "run the mean-width estimate"),
-        ("tailcheck", "run the moderate-deviation tail checks"),
-    ):
-        sub = subs.add_parser(name, help=blurb)
-        _add_common(sub)
+    _add_command(subs, "generate", _cmd_generate, ("--config", "--seed", "--out"), "sample one instance to an .npz file")
+    _add_command(subs, "solve", _cmd_solve, ("--out",), "solve an .npz instance exactly", instance=True)
+    _add_command(
+        subs, "restore", _cmd_restore, ("--config", "--out"), "run feasibility restoration on an .npz instance", instance=True
+    )
+    for command in dict.fromkeys(EXPERIMENT_KINDS.values()):
+        _add_command(subs, command, _run_campaign, _FLAGS, f"run a campaign of kind {' or '.join(_kinds(command))}")
     return parser
-
-
-_COMMAND_KINDS = {
-    "table": ("ObjectiveTable", "StdDevTable", "SparseCostTable", "AlgorithmTable"),
-    "dist": ("DistributionStudy",),
-    "meanwidth": ("MeanWidth",),
-    "tailcheck": ("TailCheck",),
-}
 
 
 def _load_config(args) -> "object":
@@ -71,9 +69,9 @@ def _load_config(args) -> "object":
         raise ConfigError("this command needs --config")
     config = load_config(args.config)
     overrides = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["master_seed"] = args.seed
-    if args.workers is not None:
+    if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
     env_dir = os.environ.get("RANDLP_OUTPUT_DIR")
     if args.out:
@@ -92,7 +90,7 @@ def _run_campaign(args) -> int:
     from .harness import emit, run_campaign
 
     config = _load_config(args)
-    allowed = _COMMAND_KINDS[args.command]
+    allowed = _kinds(args.command)
     if config.experiment_kind not in allowed:
         raise ConfigError(
             f"experiment kind {config.experiment_kind!r} does not belong to `{args.command}` "
@@ -109,14 +107,13 @@ def _cmd_generate(args) -> int:
     import numpy as np
 
     from .config import ConfigError
-    from .harness import LANE_COST, _sample_instance, stream_index
+    from .harness import LANE_COST, _replicate_tasks, _sample_instance, stream_index
 
     config = _load_config(args)
     if not config.grid:
         raise ConfigError("generate needs a non-empty grid; the first entry is used")
-    m, n = config.grid[0]
-    # Replicate 0 of grid point 0, drawn as a campaign draws it.
-    A, c, ident = _sample_instance((0, 0, m, n, config.dist, config.cost_kind, 0, config.master_seed, None))
+    # The campaign's first task: replicate 0 of grid point 0.
+    A, c, ident = _sample_instance(_replicate_tasks(config, [(None, config.cost_kind)])[0])
     out = args.out or "instance.npz"
     if not out.endswith(".npz"):
         out += ".npz"
@@ -213,21 +210,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     from .config import ConfigError
 
     try:
-        if args.command in _COMMAND_KINDS:
-            return _run_campaign(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "restore":
-            return _cmd_restore(args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"randlp: config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"randlp: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable command dispatch")
 
 
 if __name__ == "__main__":

@@ -29,15 +29,16 @@ import yaml
 from .restore import RestoreOptions
 from .sampling import CostVectorKind, EntryDistribution
 
-EXPERIMENT_KINDS = (
-    "ObjectiveTable",
-    "StdDevTable",
-    "SparseCostTable",
-    "DistributionStudy",
-    "AlgorithmTable",
-    "MeanWidth",
-    "TailCheck",
-)
+# Experiment kind -> the CLI command that runs it.
+EXPERIMENT_KINDS = {
+    "ObjectiveTable": "table",
+    "StdDevTable": "table",
+    "SparseCostTable": "table",
+    "DistributionStudy": "dist",
+    "AlgorithmTable": "table",
+    "MeanWidth": "meanwidth",
+    "TailCheck": "tailcheck",
+}
 COST_POLICIES = ("FixedAcrossReplicates", "FreshPerReplicate")
 
 # Replicate indices are packed into stream indices below this bound.

@@ -71,13 +71,26 @@ class RunRecord:
         return json.dumps(payload, sort_keys=True)
 
 
+# Statuses of the runs a campaign's results count. Every other status
+# (unbounded, numerical_failure, degenerate_block, error, ...) is excluded.
+_COUNTED = ("optimal", "converged", "non_converged")
+
+
 @dataclass
 class CampaignResult:
     rows: List[dict]
     records: List[RunRecord]
-    errored: int
-    partial: bool
     ks: Optional[dict] = None
+
+    @property
+    def errored(self) -> int:
+        """The number of excluded runs."""
+        return sum(rec.status not in _COUNTED for rec in self.records)
+
+    @property
+    def partial(self) -> bool:
+        """Some run was excluded or a restoration did not converge."""
+        return self.errored > 0 or any(rec.status == "non_converged" for rec in self.records)
 
 
 def _map_tasks(fn, tasks: Sequence, workers: int) -> List:
@@ -188,14 +201,11 @@ def _grid_table(config: ExperimentConfig, row_stats) -> CampaignResult:
     records = _solve_campaign_records(config)
     groups = _grouped(records, lambda r: (r.m, r.n))
     rows = []
-    errored = 0
     for (m, n) in config.grid:
-        recs = groups.get((m, n), [])
-        values = _optimal_values(recs)
-        errored += len(recs) - len(values)
+        values = _optimal_values(groups.get((m, n), []))
         ab = asymptotic_bound(m, n)
         rows.append({"m": m, "n": n, "ab": ab, **row_stats(m, ab, values)})
-    return CampaignResult(rows=rows, records=records, errored=errored, partial=errored > 0)
+    return CampaignResult(rows=rows, records=records)
 
 
 def _mean_stats(m: int, ab: float, values: List[float]) -> dict:
@@ -231,7 +241,6 @@ def run_sparse_cost_table(config: ExperimentConfig) -> CampaignResult:
         arms.append((f"k={k}", CostVectorKind.k_spike(k)))
     records = _solve_campaign_records(config, arms=arms)
     groups = _grouped(records, lambda r: r.arm)
-    errored = sum(1 for rec in records if rec.status != "optimal")
     baseline_values = _optimal_values(groups.get("baseline", []))
     mu_base = float(np.mean(baseline_values)) if baseline_values else float("nan")
     supplied = config.baseline_mu
@@ -247,7 +256,7 @@ def run_sparse_cost_table(config: ExperimentConfig) -> CampaignResult:
             row["relative_gap_vs_supplied_pct"] = (
                 relative_gap(supplied, mu) if math.isfinite(mu) else float("nan")
             )
-    return CampaignResult(rows=rows, records=records, errored=errored, partial=errored > 0)
+    return CampaignResult(rows=rows, records=records)
 
 
 _HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "count")
@@ -257,7 +266,6 @@ def run_distribution_study(config: ExperimentConfig) -> CampaignResult:
     """Histogram, ECDF, and normal goodness-of-fit of the objective ensemble."""
     records = _solve_campaign_records(config)
     values = _optimal_values(records)
-    errored = len(records) - len(values)
     ks_payload: dict
     try:
         result = ks_test(values)
@@ -265,31 +273,26 @@ def run_distribution_study(config: ExperimentConfig) -> CampaignResult:
     except ValueError as exc:
         ks_payload = {"error": str(exc)}
     rows = [dict(zip(_HISTOGRAM_COLUMNS, b)) for b in histogram(values)] if values else []
-    return CampaignResult(rows=rows, records=records, errored=errored, partial=errored > 0, ks=ks_payload)
+    return CampaignResult(rows=rows, records=records, ks=ks_payload)
 
 
 def run_algorithm_table(config: ExperimentConfig) -> CampaignResult:
     """Feasibility-restoration sweeps over the grid, one row per run."""
     tasks = _replicate_tasks(config, [(config.restore, config.cost_kind)])
     records = _map_tasks(_restore_task, tasks, config.workers)
-    rows = []
-    errored = 0
-    for rec in records:
-        if rec.status == "degenerate_block":
-            errored += 1
-        rows.append(
-            {
-                "m": rec.m,
-                "n": rec.n,
-                "r": rec.r,
-                "z_x": rec.z_star if rec.z_star is not None else float("nan"),
-                "i0": rec.i0,
-                "i1": rec.i1,
-                "converged": bool(rec.converged),
-            }
-        )
-    partial = errored > 0 or any(not rec.converged for rec in records)
-    return CampaignResult(rows=rows, records=records, errored=errored, partial=partial)
+    rows = [
+        {
+            "m": rec.m,
+            "n": rec.n,
+            "r": rec.r,
+            "z_x": rec.z_star if rec.z_star is not None else float("nan"),
+            "i0": rec.i0,
+            "i1": rec.i1,
+            "converged": bool(rec.converged),
+        }
+        for rec in records
+    ]
+    return CampaignResult(rows=rows, records=records)
 
 
 def _mean_width_task(task: Tuple) -> Tuple[dict, RunRecord]:
@@ -346,12 +349,9 @@ def _tail_task(task: Tuple) -> Tuple[dict, RunRecord]:
 
 
 def _row_record_table(fn, tasks: List[Tuple], workers: int) -> CampaignResult:
-    """Run tasks that each return a (row, record) pair; a record with status
-    "error" counts as an excluded run."""
+    """Run tasks that each return a (row, record) pair."""
     pairs = _map_tasks(fn, tasks, workers)
-    records = [rec for _, rec in pairs]
-    errored = sum(1 for rec in records if rec.status == "error")
-    return CampaignResult(rows=[row for row, _ in pairs], records=records, errored=errored, partial=errored > 0)
+    return CampaignResult(rows=[row for row, _ in pairs], records=[rec for _, rec in pairs])
 
 
 def run_mean_width(config: ExperimentConfig) -> CampaignResult:

@@ -37,12 +37,11 @@ class EntryDistribution:
     """A mean-0, variance-1 entry law for coefficient matrices.
 
     Variants: gaussian N(0,1); rademacher +/-1; bernoulli_normal, the product
-    of Bernoulli(p) and N(0, variance) with p * variance = 1.
+    of Bernoulli(p) and N(0, 1/p).
     """
 
     kind: str
     p: float = 1.0
-    variance: float = 1.0
 
     _KINDS = ("gaussian", "rademacher", "bernoulli_normal")
 
@@ -52,8 +51,6 @@ class EntryDistribution:
         if self.kind == "bernoulli_normal":
             if not 0.0 < self.p <= 1.0:
                 raise ValueError("p must be in (0, 1]")
-            if abs(self.p * self.variance - 1.0) > 1e-12:
-                raise ValueError("p * variance must equal 1 for unit entry variance")
 
     @classmethod
     def gaussian(cls) -> "EntryDistribution":
@@ -64,8 +61,8 @@ class EntryDistribution:
         return cls("rademacher")
 
     @classmethod
-    def bernoulli_normal(cls, p: float = 0.5, variance: float = 2.0) -> "EntryDistribution":
-        return cls("bernoulli_normal", p=p, variance=variance)
+    def bernoulli_normal(cls, p: float = 0.5) -> "EntryDistribution":
+        return cls("bernoulli_normal", p=p)
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ def draw_entries(dist: EntryDistribution, shape: tuple[int, ...], gen: np.random
     if dist.kind == "rademacher":
         return rademacher_bits(shape, gen).astype(float) * 2.0 - 1.0
     mask = gen.random(shape) < dist.p
-    normals = gen.standard_normal(shape) * math.sqrt(dist.variance)
+    normals = gen.standard_normal(shape) * math.sqrt(1.0 / dist.p)
     return np.where(mask, normals, 0.0)
 
 

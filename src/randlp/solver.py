@@ -139,28 +139,22 @@ class _Basis:
 
     Columns 0..m-1 are the y variables (column j of A^T is row j of A);
     columns m..m+n-1 are phase-1 artificials with column sign(c_j) * e_j.
+    Artificials only leave the basis, so every entering column is a row of A.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray):
         self.A = A
         self.b = c
         self.m, self.n = A.shape
-        self.signs = np.where(c >= 0.0, 1.0, -1.0)
+        signs = np.where(c >= 0.0, 1.0, -1.0)
         self.basis = np.arange(self.m, self.m + self.n)
-        self.Bmat = np.diag(self.signs).copy()
-        self.Binv = np.diag(self.signs).copy()
+        self.Bmat = np.diag(signs)
+        self.Binv = np.diag(signs)
         # Scratch for the rank-1 term of the basis-inverse update.
         self.outer = np.empty((self.n, self.n))
         self.xB = np.abs(c).astype(float)
         self.in_basis = np.zeros(self.m + self.n, dtype=bool)
         self.in_basis[self.basis] = True
-
-    def column(self, j: int) -> np.ndarray:
-        if j < self.m:
-            return self.A[j]
-        e = np.zeros(self.n)
-        e[j - self.m] = self.signs[j - self.m]
-        return e
 
     def refactor(self) -> float:
         """Rebuild the inverse and basic values from scratch; return residual."""
@@ -176,8 +170,7 @@ class _Basis:
         self.in_basis[leaving] = False
         self.in_basis[entering] = True
         self.basis[pos] = entering
-        col = self.column(entering)
-        self.Bmat[:, pos] = col
+        self.Bmat[:, pos] = self.A[entering]
         self.xB -= theta * d
         self.xB[pos] = theta
         pivrow = self.Binv[pos] / d[pos]
@@ -250,8 +243,7 @@ def _run_phase(basis: _Basis, phase: int, state: dict) -> str:
                     rows = np.flatnonzero(in_set)
                     A_rows = basis.A[rows]
             r_j = float(r[j])
-        col = basis.column(j)
-        d = basis.Binv @ col
+        d = basis.Binv @ basis.A[j]
         pos_mask = d > PIVOT_TOL
         if not pos_mask.any():
             # The standard form is bounded below by 0, so this is numeric dirt.
@@ -295,7 +287,7 @@ def _drive_out_artificials(basis: _Basis, state: dict) -> None:
         j = int(np.argmax(np.abs(vals)))
         if abs(vals[j]) <= PIVOT_TOL:
             continue
-        d = basis.Binv @ basis.column(j)
+        d = basis.Binv @ basis.A[j]
         basis.swap(pos, j, d, float(basis.xB[pos] / d[pos]))
         state["pivots"] += 1
     basis.refactor()

@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 from randlp import harness
-from randlp.cli import main
+from randlp.cli import build_parser, main
 from randlp.solver import SolveOutcome
 from randlp.stats import asymptotic_bound
 
@@ -67,6 +67,28 @@ class TestUsage:
 
     def test_solve_missing_instance_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.npz")]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "inst.npz", "--config", "c.yaml"],
+            ["solve", "inst.npz", "--seed", "3"],
+            ["solve", "inst.npz", "--workers", "2"],
+            ["restore", "inst.npz", "--seed", "3"],
+            ["restore", "inst.npz", "--workers", "2"],
+            ["generate", "--config", "c.yaml", "--workers", "2"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}",
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command", ["table", "dist", "meanwidth", "tailcheck"])
+    def test_campaign_commands_take_all_four_flags(self, command):
+        args = build_parser().parse_args([command, "--config", "c.yaml", "--seed", "3", "--workers", "2", "--out", "o"])
+        assert (args.config, args.seed, args.workers, args.out) == ("c.yaml", 3, 2, "o")
 
 
 class TestImports:

@@ -518,9 +518,11 @@ class TestWorkerInvariance:
                 assert a.read_bytes() == b.read_bytes(), a.name
 
     @pytest.mark.parametrize(
-        "kind, runner", [("MeanWidth", run_mean_width), ("TailCheck", run_tail_check)], ids=["MeanWidth", "TailCheck"]
+        "kind, runner, errored",
+        [("MeanWidth", run_mean_width, 1), ("TailCheck", run_tail_check, 0)],
+        ids=["MeanWidth", "TailCheck"],
     )
-    def test_monte_carlo_kinds_dispatch_through_task_map(self, kind, runner, monkeypatch):
+    def test_monte_carlo_kinds_dispatch_through_task_map(self, kind, runner, errored, monkeypatch):
         # The spy runs the tasks in this process but records the worker
         # count each runner asked for.
         seen = []
@@ -535,3 +537,7 @@ class TestWorkerInvariance:
         # Both configs have two grid points or cases.
         assert seen == [(2, 2)]
         assert len(result.rows) == len(result.records) == 2
+        # MeanWidth's (6, 5) point is unbounded: its record has status
+        # "error", which is excluded and makes the campaign partial.
+        assert result.errored == errored
+        assert result.partial == (errored > 0)

@@ -40,10 +40,6 @@ class TestEntryDistribution:
         with pytest.raises(ValueError):
             EntryDistribution("cauchy")
 
-    def test_variance_product_enforced(self):
-        with pytest.raises(ValueError):
-            EntryDistribution("bernoulli_normal", p=0.5, variance=3.0)
-
     def test_rademacher_support(self):
         A = sample_matrix(EntryDistribution.rademacher(), 2, 2, SeedSpec(0, 0))
         assert set(np.unique(A)) <= {-1.0, 1.0}

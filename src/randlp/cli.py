@@ -107,13 +107,13 @@ def _cmd_generate(args) -> int:
     import numpy as np
 
     from .config import ConfigError
-    from .harness import LANE_COST, _replicate_tasks, _sample_instance, stream_index
+    from .harness import LANE_COST, LANE_MATRIX, sample_instance, stream_index
 
     config = _load_config(args)
     if not config.grid:
         raise ConfigError("generate needs a non-empty grid; the first entry is used")
-    # The campaign's first task: replicate 0 of grid point 0.
-    A, c, ident = _sample_instance(_replicate_tasks(config, [(None, config.cost_kind)])[0])
+    # The campaign's first replicate: replicate 0 of grid point 0.
+    A, c = sample_instance(config, 0, 0, config.cost_kind)
     out = args.out or "instance.npz"
     if not out.endswith(".npz"):
         out += ".npz"
@@ -123,7 +123,7 @@ def _cmd_generate(args) -> int:
         c=c,
         dist_kind=np.array(config.dist.kind),
         master_seed=np.array(config.master_seed, dtype=np.uint64),
-        matrix_stream=np.array(ident["stream_index"], dtype=np.int64),
+        matrix_stream=np.array(stream_index(0, 0, LANE_MATRIX), dtype=np.int64),
         cost_stream=np.array(stream_index(0, 0, LANE_COST), dtype=np.int64),
     )
     print(out)
@@ -149,19 +149,15 @@ def _write_json(payload: dict, out: Optional[str]) -> None:
 
 
 def _cmd_solve(args) -> int:
+    from dataclasses import asdict
+
+    import numpy as np
+
     from .solver import LPInstance, solve
 
     A, c = _load_instance(args.instance)
     outcome = solve(LPInstance(A, c))
-    payload = {
-        "status": outcome.status,
-        "z_star": outcome.z_star,
-        "pivots": outcome.pivots,
-        "x_star": None if outcome.x_star is None else [float(v) for v in outcome.x_star],
-        "y_star": None if outcome.y_star is None else [float(v) for v in outcome.y_star],
-        "ray": None if outcome.ray is None else [float(v) for v in outcome.ray],
-        "message": outcome.message,
-    }
+    payload = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(outcome).items()}
     _write_json(payload, args.out)
     return 0 if outcome.status in ("optimal", "unbounded") else 2
 

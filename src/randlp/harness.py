@@ -102,75 +102,71 @@ def _map_tasks(fn, tasks: Sequence, workers: int) -> List:
         return list(pool.map(fn, tasks))
 
 
-def _cost_replicate(policy: str, replicate_index: int) -> int:
-    return 0 if policy == "FixedAcrossReplicates" else replicate_index
+def sample_instance(
+    config: ExperimentConfig, grid_index: int, replicate_index: int, cost_kind: CostVectorKind
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw replicate replicate_index of the campaign's grid point grid_index:
+    its (A, c). Under FixedAcrossReplicates all replicates of a grid point
+    share replicate 0's cost vector."""
+    m, n = config.grid[grid_index]
+    seed = config.master_seed
+    A = sample_matrix(config.dist, m, n, SeedSpec(seed, stream_index(grid_index, replicate_index, LANE_MATRIX)))
+    cost_replicate = 0 if config.cost_policy == "FixedAcrossReplicates" else replicate_index
+    c = sample_cost_vector(cost_kind, n, SeedSpec(seed, stream_index(grid_index, cost_replicate, LANE_COST)))
+    return A, c
 
 
-def _replicate_tasks(config: ExperimentConfig, arms: List[Tuple[object, CostVectorKind]]) -> List[Tuple]:
-    """One task per (grid point, arm, replicate), ordered deterministically.
-
-    An arm is (last task field, cost kind): the arm label for solves, the
-    restore options for restorations.
-    """
-    tasks = []
-    for g, (m, n) in enumerate(config.grid):
-        for last, arm_cost in arms:
-            for j in range(config.sample_size):
-                tasks.append(
-                    (g, j, m, n, config.dist, arm_cost, _cost_replicate(config.cost_policy, j), config.master_seed, last)
-                )
-    return tasks
+def _replicate_tasks(
+    config: ExperimentConfig, arms: Optional[List[Tuple[Optional[str], CostVectorKind]]] = None
+) -> List[Tuple]:
+    """One (config, grid_index, replicate_index, arm) task per grid point, arm
+    and replicate, ordered deterministically. An arm is (label, cost kind);
+    the default is the configured cost, unlabelled."""
+    arms = arms if arms is not None else [(None, config.cost_kind)]
+    return [(config, g, j, arm) for g in range(len(config.grid)) for arm in arms for j in range(config.sample_size)]
 
 
-def _sample_instance(task: Tuple) -> Tuple[np.ndarray, np.ndarray, dict]:
-    """Draw a task's (A, c); also returns the RunRecord fields that identify it."""
-    (grid_index, replicate_index, m, n, dist, cost_kind, cost_rep, master_seed, _) = task
+def _replicate_record(config: ExperimentConfig, grid_index: int, replicate_index: int, **fields) -> RunRecord:
+    m, n = config.grid[grid_index]
     mat_stream = stream_index(grid_index, replicate_index, LANE_MATRIX)
-    A = sample_matrix(dist, m, n, SeedSpec(master_seed, mat_stream))
-    c = sample_cost_vector(cost_kind, n, SeedSpec(master_seed, stream_index(grid_index, cost_rep, LANE_COST)))
-    return A, c, {"m": m, "n": n, "replicate_index": replicate_index, "stream_index": mat_stream}
+    return RunRecord(m=m, n=n, replicate_index=replicate_index, stream_index=mat_stream, **fields)
 
 
 def _solve_task(task: Tuple) -> RunRecord:
-    A, c, ident = _sample_instance(task)
+    config, g, j, (label, cost_kind) = task
+    A, c = sample_instance(config, g, j, cost_kind)
     t0 = time.perf_counter()
     outcome = solve(LPInstance(A, c))
     wall = time.perf_counter() - t0
     optimal = outcome.status == "optimal"
-    return RunRecord(
-        **ident,
-        z_star=outcome.z_star if optimal else None,
-        pivots=outcome.pivots,
-        wall_time=wall,
-        status=outcome.status,
-        error=None if optimal else (outcome.message or outcome.status),
-        arm=task[-1],
+    return _replicate_record(
+        config, g, j, z_star=outcome.z_star if optimal else None, pivots=outcome.pivots, wall_time=wall,
+        status=outcome.status, error=None if optimal else (outcome.message or outcome.status), arm=label,
     )
 
 
-def _restore_task(task: Tuple) -> RunRecord:
-    A, c, ident = _sample_instance(task)
+def _restore_task(task: Tuple) -> Tuple[dict, RunRecord]:
+    """One replicate's feasibility restoration: its (row, record)."""
+    config, g, j, (_, cost_kind) = task
+    A, c = sample_instance(config, g, j, cost_kind)
     t0 = time.perf_counter()
     try:
-        trace = restore(A, c, task[-1])
+        trace = restore(A, c, config.restore)
         status = "converged" if trace.converged else "non_converged"
         error = None
     except DegenerateBlock as exc:
         trace, status, error = exc.trace, "degenerate_block", str(exc)
     wall = time.perf_counter() - t0
-    return RunRecord(
-        **ident,
-        z_star=None if error is not None else float(np.dot(c, trace.final_x)),
-        pivots=0,
-        wall_time=wall,
-        status=status,
-        error=error,
-        r=trace.iterations,
+    rec = _replicate_record(
+        config, g, j, z_star=None if error is not None else float(np.dot(c, trace.final_x)), pivots=0,
+        wall_time=wall, status=status, error=error, r=trace.iterations,
         i0=trace.iterates[0].violated if trace.iterations >= 1 else 0,
         i1=trace.iterates[1].violated if trace.iterations >= 2 else 0,
-        converged=status == "converged",
-        iterates=[asdict(rec) for rec in trace.iterates],
+        converged=status == "converged", iterates=[asdict(it) for it in trace.iterates],
     )
+    z_x = rec.z_star if rec.z_star is not None else float("nan")
+    row = {"m": rec.m, "n": rec.n, "r": rec.r, "z_x": z_x, "i0": rec.i0, "i1": rec.i1, "converged": rec.converged}
+    return row, rec
 
 
 def _solve_campaign_records(config: ExperimentConfig, arms: Optional[List[Tuple[str, CostVectorKind]]] = None) -> List[RunRecord]:
@@ -179,8 +175,6 @@ def _solve_campaign_records(config: ExperimentConfig, arms: Optional[List[Tuple[
     Arms share the per-replicate matrix streams, so a cost-vector sweep is a
     paired comparison on identical matrices.
     """
-    if arms is None:
-        arms = [(None, config.cost_kind)]
     return _map_tasks(_solve_task, _replicate_tasks(config, arms), config.workers)
 
 
@@ -278,31 +272,18 @@ def run_distribution_study(config: ExperimentConfig) -> CampaignResult:
 
 def run_algorithm_table(config: ExperimentConfig) -> CampaignResult:
     """Feasibility-restoration sweeps over the grid, one row per run."""
-    tasks = _replicate_tasks(config, [(config.restore, config.cost_kind)])
-    records = _map_tasks(_restore_task, tasks, config.workers)
-    rows = [
-        {
-            "m": rec.m,
-            "n": rec.n,
-            "r": rec.r,
-            "z_x": rec.z_star if rec.z_star is not None else float("nan"),
-            "i0": rec.i0,
-            "i1": rec.i1,
-            "converged": bool(rec.converged),
-        }
-        for rec in records
-    ]
-    return CampaignResult(rows=rows, records=records)
+    return _row_record_table(_restore_task, _replicate_tasks(config), config.workers)
 
 
 def _mean_width_task(task: Tuple) -> Tuple[dict, RunRecord]:
     """One grid point's mean width: its (row, record)."""
-    grid_index, m, n, dist, trials, master_seed = task
-    mat_stream = stream_index(grid_index, 0, LANE_MATRIX)
-    A = sample_matrix(dist, m, n, SeedSpec(master_seed, mat_stream))
+    config, g = task
+    m, n = config.grid[g]
+    trials = config.trials
+    A = sample_matrix(config.dist, m, n, SeedSpec(config.master_seed, stream_index(g, 0, LANE_MATRIX)))
     t0 = time.perf_counter()
     try:
-        est = mean_width_mc(A, trials, SeedSpec(master_seed, stream_index(grid_index, 0, LANE_AUX)))
+        est = mean_width_mc(A, trials, SeedSpec(config.master_seed, stream_index(g, 0, LANE_AUX)))
         error = None
     except (UnboundedDirection, RuntimeError) as exc:
         nan = float("nan")
@@ -317,20 +298,21 @@ def _mean_width_task(task: Tuple) -> Tuple[dict, RunRecord]:
         "normalized": est.normalized,
     }
     failed = error is not None
-    record = RunRecord(
-        m=m, n=n, replicate_index=0, stream_index=mat_stream, z_star=None if failed else est.estimate,
-        pivots=0, wall_time=wall, status="error" if failed else "optimal", error=error,
+    record = _replicate_record(
+        config, g, 0, z_star=None if failed else est.estimate, pivots=0, wall_time=wall,
+        status="error" if failed else "optimal", error=error,
     )
     return row, record
 
 
 def _tail_task(task: Tuple) -> Tuple[dict, RunRecord]:
     """One tail case's Monte Carlo estimate: its (row, record)."""
-    case_index, case, dist, master_seed = task
+    config, case_index = task
+    case = config.tail_cases[case_index]
     t = case.threshold()
-    spec = SeedSpec(master_seed, stream_index(case_index, 0, LANE_MATRIX))
+    spec = SeedSpec(config.master_seed, stream_index(case_index, 0, LANE_MATRIX))
     t0 = time.perf_counter()
-    est = tail_probability_mc(np.full(case.n, case.n ** -0.5), dist, t, case.trials, spec)
+    est = tail_probability_mc(np.full(case.n, case.n ** -0.5), config.dist, t, case.trials, spec)
     wall = time.perf_counter() - t0
     row = {
         "n": case.n,
@@ -356,15 +338,13 @@ def _row_record_table(fn, tasks: List[Tuple], workers: int) -> CampaignResult:
 
 def run_mean_width(config: ExperimentConfig) -> CampaignResult:
     """Monte Carlo mean width, one task per grid point."""
-    tasks = [(g, m, n, config.dist, config.trials, config.master_seed) for g, (m, n) in enumerate(config.grid)]
-    return _row_record_table(_mean_width_task, tasks, config.workers)
+    return _row_record_table(_mean_width_task, [(config, g) for g in range(len(config.grid))], config.workers)
 
 
 def run_tail_check(config: ExperimentConfig) -> CampaignResult:
     """Monte Carlo moderate-deviation tails for the flat unit direction, one
     task per case."""
-    tasks = [(idx, case, config.dist, config.master_seed) for idx, case in enumerate(config.tail_cases)]
-    return _row_record_table(_tail_task, tasks, config.workers)
+    return _row_record_table(_tail_task, [(config, idx) for idx in range(len(config.tail_cases))], config.workers)
 
 
 # Experiment kind -> (runner, main table file). A table's columns are its

@@ -14,7 +14,6 @@ survives pruning raises.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .linalg import SingularGram, gram_solve, pruned_gram_solve
 from .solver import UNIT_COST_TOL
+from .stats import asymptotic_bound
 
 TINY_COLUMN_NORM = 1e-10
 
@@ -97,7 +97,7 @@ def restore(
         raise ValueError("c must have unit Euclidean norm")
 
     if initial_x is None:
-        x0 = (2.0 * math.log(m / n)) ** -0.5 * c
+        x0 = asymptotic_bound(m, n) * c
     else:
         x0 = np.asarray(initial_x, dtype=float).copy()
         if x0.shape != (n,):

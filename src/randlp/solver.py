@@ -305,7 +305,7 @@ def _extract_optimal(inst: LPInstance, basis: _Basis, pivots: int) -> SolveOutco
     z = float(np.sum(y))
     max_viol = check_feasible(inst.A, x)
     dual_resid = float(np.max(np.abs(inst.A.T @ y - inst.c)))
-    gap = abs(z - float(np.dot(inst.c, x)))
+    gap = abs(duality_gap(inst, x, y))
     if (
         artificial_mass > FEAS_TOL
         or max_viol > FEAS_TOL

@@ -53,14 +53,7 @@ def asymptotic_bound(m: int, n: int) -> float:
     """Reference level (2 log(m/n))^{-1/2} for an m x n ensemble."""
     if m <= n or n < 1:
         raise ValueError("need m > n >= 1")
-    return asymptotic_bound_ratio(m / n)
-
-
-def asymptotic_bound_ratio(ratio: float) -> float:
-    """Same reference level from the aspect ratio m/n directly."""
-    if ratio <= 1.0:
-        raise ValueError("ratio must exceed 1")
-    return (2.0 * math.log(ratio)) ** -0.5
+    return (2.0 * math.log(m / n)) ** -0.5
 
 
 def relative_gap(ab: float, mu_hat: float) -> float:

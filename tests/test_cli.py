@@ -16,6 +16,7 @@ import yaml
 
 from randlp import harness
 from randlp.cli import build_parser, main
+from randlp.config import load_config
 from randlp.solver import SolveOutcome
 from randlp.stats import asymptotic_bound
 
@@ -233,6 +234,29 @@ class TestInstanceCommands:
         with np.load(a) as da, np.load(b) as db:
             assert np.any(da["A"] != db["A"])
             assert int(db["master_seed"]) == 5
+
+    @pytest.mark.parametrize("policy", ["FixedAcrossReplicates", "FreshPerReplicate"])
+    def test_generate_writes_the_campaigns_first_replicate(self, tmp_path, capsys, policy):
+        cfg = write_config(
+            tmp_path / "c.yaml", grid=[[40, 6], [50, 7]], cost={"kind": "uniform_sphere"}, cost_policy=policy
+        )
+        inst, out = tmp_path / "inst.npz", tmp_path / "campaign"
+        assert main(["generate", "--config", cfg, "--out", str(inst)]) == 0
+        assert main(["table", "--config", cfg, "--out", str(out)]) == 0
+        config = load_config(cfg)
+        A, c = harness.sample_instance(config, 0, 0, config.cost_kind)
+        first = json.loads((out / "records.jsonl").read_text().splitlines()[0])
+        assert (first["m"], first["n"], first["replicate_index"]) == (40, 6, 0)
+        with np.load(inst) as data:
+            for saved, drawn in ((data["A"], A), (data["c"], c)):
+                assert (saved.dtype, saved.shape, saved.tobytes()) == (drawn.dtype, drawn.shape, drawn.tobytes())
+            assert int(data["matrix_stream"]) == first["stream_index"]
+        # Solving the saved instance replays the campaign's record exactly.
+        capsys.readouterr()
+        assert main(["solve", str(inst)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert first["status"] == payload["status"] == "optimal"
+        assert (payload["z_star"], payload["pivots"]) == (first["z_star"], first["pivots"])
 
     def test_solve_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", grid=[[40, 6]])

@@ -13,7 +13,6 @@ from randlp.sampling import EntryDistribution, SeedSpec, draw_entries
 from randlp.stats import (
     MC_CHUNK_ROWS,
     asymptotic_bound,
-    asymptotic_bound_ratio,
     ecdf,
     histogram,
     kolmogorov_p,
@@ -34,14 +33,9 @@ class TestAsymptoticBound:
         assert abs(asymptotic_bound(1000, 50) - 0.40853) <= 1e-5
         assert abs(asymptotic_bound(10000, 50) - 0.30719) <= 1e-5
 
-    def test_unit_ratio(self):
-        assert_allclose(asymptotic_bound_ratio(math.exp(0.5)), 1.0, rtol=1e-14)
-
     def test_rejects_m_le_n(self):
         with pytest.raises(ValueError):
             asymptotic_bound(50, 50)
-        with pytest.raises(ValueError):
-            asymptotic_bound_ratio(1.0)
 
     def test_monotonicity(self):
         ms = [200, 500, 1000, 5000, 20000]

@@ -6,6 +6,15 @@ SeedSequence(master_seed, spawn_key=(stream_index,)), so distinct stream
 indices give statistically independent, platform-stable streams. Gaussian
 variates come from Generator.standard_normal (ziggurat); that is the one
 normal sampler used anywhere in this package.
+
+Rademacher draws come from rademacher_bits, the one sampler of +/-1 entries.
+It reads the bits that Generator.integers(0, 2) would return straight from
+the bit generator's raw 64-bit words: integers(0, 2) takes the top bit of the
+next 32-bit half of the PCG64 output, low half first, and keeps an unused
+high half buffered in the bit generator. rademacher_bits returns exactly
+gen.integers(0, 2, size=shape) != 0 and leaves gen in the state that call
+would, so a rademacher draw is the same whichever way it is taken;
+tests/test_sampling.py::TestRademacherBits pins that contract.
 """
 
 from __future__ import annotations
@@ -14,6 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# A 32-bit half at or above this value is a +1 draw of integers(0, 2).
+_TOP_BIT = np.uint32(1 << 31)
 
 
 @dataclass(frozen=True)
@@ -115,8 +127,32 @@ def draw_entries(dist: EntryDistribution, shape: tuple[int, ...], gen: np.random
 
 
 def rademacher_bits(shape: tuple[int, ...], gen: np.random.Generator) -> np.ndarray:
-    """The int64 0/1 draws behind rademacher entries: bit 1 is +1, bit 0 is -1."""
-    return gen.integers(0, 2, size=shape)
+    """Rademacher draws as booleans, True for +1: gen.integers(0, 2, size=shape) != 0.
+
+    Each value is the top bit of a 32-bit half: first the half gen holds
+    buffered on entry, if any, then the low and high halves of fresh raw
+    words. An unused high half stays buffered, so gen ends in the state
+    integers would leave. gen's bit generator must buffer halves as PCG64
+    does (its state has has_uint32 and uinteger).
+    """
+    bitgen = gen.bit_generator
+    out = np.empty(shape, dtype=bool)
+    flat = out.reshape(-1)
+    if flat.size == 0:
+        return out
+    state = bitgen.state
+    buffered = state["has_uint32"]
+    if buffered:
+        flat[0] = state["uinteger"] >= _TOP_BIT
+    rest = flat.size - buffered
+    halves = bitgen.random_raw((rest + 1) // 2).astype("<u8", copy=False).view("<u4")
+    np.greater_equal(halves[:rest], _TOP_BIT, out=flat[buffered:])
+    state = bitgen.state
+    if rest:
+        state["uinteger"] = int(halves[-1])
+    state["has_uint32"] = rest % 2
+    bitgen.state = state
+    return out
 
 
 def sample_matrix(dist: EntryDistribution, m: int, n: int, seed: SeedSpec) -> np.ndarray:

@@ -23,6 +23,9 @@ from .solver import UNIT_COST_TOL
 KS_SERIES_TERM_TOL = 1e-12
 KS_SERIES_MAX_TERMS = 100000
 MC_CHUNK_ROWS = 65536
+# Rows per slice of the exact rademacher lattice count. The draws are
+# sequential and the counts exact integers, so no result depends on it.
+_LATTICE_SLICE_ROWS = 8192
 # A tail threshold this close above an attainable value of <y, xi> counts as
 # that value.
 LATTICE_TIE_TOL = 1e-9
@@ -163,12 +166,14 @@ def tail_probability_mc(
 ) -> TailEstimate:
     """Monte Carlo estimate of P{<y, xi> >= t} for a fresh coefficient row xi.
 
-    Draws come from the single stream named by seed, consumed in fixed-size
-    blocks of MC_CHUNK_ROWS rows, so results are reproducible for fixed
-    inputs regardless of platform. For rademacher rows and a flat y (all
-    entries equal and positive), <y, xi> = S * y[0] with the integer
-    S = 2 * (number of +1s) - dim, so hits are counted exactly in integers
-    from the same draws; every other case compares in floating point.
+    Draws come from the single stream named by seed, so results are
+    reproducible for fixed inputs regardless of platform. The floating-point
+    paths consume it in fixed blocks of MC_CHUNK_ROWS rows, which is part of
+    the result: a bernoulli_normal draw depends on its block layout. For
+    rademacher rows and a flat y (all entries equal and positive),
+    <y, xi> = S * y[0] with the integer S = 2 * (number of +1s) - dim, so
+    hits are counted exactly in integers from the same draws, in slices of
+    _LATTICE_SLICE_ROWS rows whose size changes no result.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -182,17 +187,15 @@ def tail_probability_mc(
     lattice = dist.kind == "rademacher" and y[0] > 0.0 and bool(np.all(y == y[0]))
     if lattice:
         k_t = _lattice_threshold(dim, float(y[0]), t)
+    step = _LATTICE_SLICE_ROWS if lattice else MC_CHUNK_ROWS
     hits = 0
-    done = 0
-    while done < trials:
-        rows = min(MC_CHUNK_ROWS, trials - done)
+    for done in range(0, trials, step):
+        rows = min(step, trials - done)
         if lattice:
-            ones = rademacher_bits((rows, dim), gen).sum(axis=1)
+            ones = rademacher_bits((rows, dim), gen).sum(axis=1, dtype=np.int32)
             hits += int(np.count_nonzero(2 * ones - dim >= k_t))
         else:
-            block = draw_entries(dist, (rows, dim), gen)
-            hits += int(np.count_nonzero(block @ y >= t))
-        done += rows
+            hits += int(np.count_nonzero(draw_entries(dist, (rows, dim), gen) @ y >= t))
     p_hat = hits / trials
     se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return TailEstimate(p_hat=p_hat, standard_error=se, trials=trials)

@@ -14,6 +14,7 @@ from randlp.sampling import (
     EntryDistribution,
     SeedSpec,
     draw_entries,
+    rademacher_bits,
     sample_cost_vector,
     sample_matrix,
 )
@@ -62,15 +63,52 @@ class TestEntryDistribution:
 
     def test_chunked_draws_concatenate(self):
         # Gaussian and Rademacher streams are position-independent: drawing
-        # 2+3 rows equals drawing 5 rows. (bernoulli_normal is not, because
-        # each call interleaves its mask and normal blocks; chunk layout is
-        # therefore part of any caller's determinism contract.)
-        for dist in (EntryDistribution.gaussian(), EntryDistribution.rademacher()):
+        # 2+3 rows equals drawing 5 rows, also when a 3x3 rademacher chunk
+        # leaves half a raw word buffered for the next. (bernoulli_normal is
+        # not, because each call interleaves its mask and normal blocks; chunk
+        # layout is therefore part of any caller's determinism contract.)
+        cases = [
+            (EntryDistribution.gaussian(), (2, 4), (3, 4)),
+            (EntryDistribution.rademacher(), (2, 4), (3, 4)),
+            (EntryDistribution.rademacher(), (3, 3), (2, 3)),
+        ]
+        for dist, top_shape, bottom_shape in cases:
             gen = SeedSpec(9, 1).generator()
-            top = draw_entries(dist, (2, 4), gen)
-            bottom = draw_entries(dist, (3, 4), gen)
-            whole = draw_entries(dist, (5, 4), SeedSpec(9, 1).generator())
+            top = draw_entries(dist, top_shape, gen)
+            bottom = draw_entries(dist, bottom_shape, gen)
+            whole = draw_entries(dist, (5, top_shape[1]), SeedSpec(9, 1).generator())
             assert_array_equal(np.vstack([top, bottom]), whole)
+
+
+class TestRademacherBits:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_integers_and_leaves_the_same_state(self, seed):
+        # Every call equals integers(0, 2) on a twin generator and leaves the
+        # same state, through odd and even sizes 0..8 and interleaved draws
+        # that use or keep the buffered 32-bit half; afterwards both
+        # generators draw alike.
+        plan = np.random.default_rng(seed)
+        gen = SeedSpec(seed, 0).generator()
+        twin = SeedSpec(seed, 0).generator()
+        for _ in range(40):
+            step = int(plan.integers(0, 4))
+            if step == 0:
+                assert gen.integers(0, 5) == twin.integers(0, 5)
+            elif step == 1:
+                assert gen.random() == twin.random()
+            else:
+                size = int(plan.integers(0, 9))
+                bits = rademacher_bits((size,), gen)
+                assert bits.dtype == bool
+                assert_array_equal(bits, twin.integers(0, 2, size) != 0)
+            assert gen.bit_generator.state == twin.bit_generator.state
+        assert_array_equal(gen.integers(0, 2, 9), twin.integers(0, 2, 9))
+        assert_array_equal(gen.random(3), twin.random(3))
+
+    def test_shape(self):
+        bits = rademacher_bits((4, 3), SeedSpec(1, 0).generator())
+        assert bits.shape == (4, 3)
+        assert_array_equal(bits, SeedSpec(1, 0).generator().integers(0, 2, (4, 3)) != 0)
 
 
 class TestCostVectors:

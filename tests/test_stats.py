@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from randlp.sampling import EntryDistribution, SeedSpec, draw_entries
+from randlp.sampling import EntryDistribution, SeedSpec
 from randlp.stats import (
     MC_CHUNK_ROWS,
     asymptotic_bound,
@@ -220,19 +220,19 @@ class TestTailProbabilityMc:
         assert abs(est.p_hat - BINOM_400_218) <= 4.0 * est.standard_error
 
     @pytest.mark.parametrize("n, t, k", [(400, 1.8, 36), (400, 1.75, 36), (9, 0.5, 3), (9, -5.0, -9), (9, 4.0, 11)])
-    def test_rademacher_flat_counts_lattice_sums(self, n, t, k):
+    def test_rademacher_flat_counts_lattice_sums(self, n, t, k, trials=MC_CHUNK_ROWS + 4000):
         # A hit is a row whose sum of n signs reaches k, the smallest attainable
         # sum S with S / sqrt(n) >= t; at n = 400, t = 1.8 the sum 36 is a tie.
-        # The reference redraws the same blocks as floats.
+        # The reference takes the same stream's signs from one numpy
+        # integers(0, 2) call.
         y = np.full(n, n**-0.5)
-        trials = MC_CHUNK_ROWS + 4000
         est = tail_probability_mc(y, EntryDistribution.rademacher(), t, trials, SeedSpec(2, 9))
-        gen = SeedSpec(2, 9).generator()
-        hits = 0
-        for rows in (MC_CHUNK_ROWS, 4000):
-            signs = draw_entries(EntryDistribution.rademacher(), (rows, n), gen)
-            hits += int(np.count_nonzero(signs.sum(axis=1) >= k))
-        assert est.p_hat == hits / trials
+        signs = 2 * SeedSpec(2, 9).generator().integers(0, 2, size=(trials, n)) - 1
+        assert est.p_hat == int(np.count_nonzero(signs.sum(axis=1) >= k)) / trials
+
+    def test_rademacher_flat_counts_odd_entry_count(self):
+        # 9 * (MC_CHUNK_ROWS + 4001) entries: the last rows hold an odd number.
+        self.test_rademacher_flat_counts_lattice_sums(9, 0.5, 3, trials=MC_CHUNK_ROWS + 4001)
 
     def test_determinism_across_chunk_boundary(self):
         # 70000 trials span two fixed-size blocks; same seed, same estimate.

@@ -17,9 +17,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,6 +94,9 @@ class CampaignResult:
 def _map_tasks(fn, tasks: Sequence, workers: int) -> List:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     cap_blas_threads()
     ctx = get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:

@@ -19,8 +19,10 @@ tests/test_sampling.py::TestRademacherBits pins that contract.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -109,21 +111,54 @@ class CostVectorKind:
         return cls("k_spike", k=k)
 
 
-def draw_entries(dist: EntryDistribution, shape: tuple[int, ...], gen: np.random.Generator) -> np.ndarray:
+def draw_entries(
+    dist: EntryDistribution,
+    shape: tuple[int, ...],
+    gen: np.random.Generator,
+    masks: np.random.Generator | None = None,
+) -> np.ndarray:
     """Draw an array of i.i.d. entries from dist using an existing generator.
 
-    The draw order per variant is fixed (bernoulli mask first, then normals)
-    so results are reproducible. Consecutive calls on one generator consume
-    the stream sequentially, which keeps chunked Monte Carlo loops identical
-    to single-shot draws.
+    Gaussian and rademacher entries are read from gen in order, so
+    consecutive calls on one generator draw what one call on the stacked
+    shape would. bernoulli_normal draws its whole Bernoulli mask before its
+    normals, so its draw depends on the block layout: the mask comes from
+    masks if given (see _block_slices), from gen otherwise, and the normals
+    from gen.
     """
     if dist.kind == "gaussian":
         return gen.standard_normal(shape)
     if dist.kind == "rademacher":
         return rademacher_bits(shape, gen).astype(float) * 2.0 - 1.0
-    mask = gen.random(shape) < dist.p
-    normals = gen.standard_normal(shape) * math.sqrt(1.0 / dist.p)
-    return np.where(mask, normals, 0.0)
+    dropped = (gen if masks is None else masks).random(shape) >= dist.p
+    x = gen.standard_normal(shape)
+    x *= math.sqrt(1.0 / dist.p)
+    np.copyto(x, 0.0, where=dropped)
+    return x
+
+
+def _block_slices(
+    dist: EntryDistribution, shape: tuple[int, int], gen: np.random.Generator, slice_rows: int
+) -> Iterator[tuple[tuple[int, int], np.random.Generator | None]]:
+    """Split the block draw_entries(dist, shape, gen) into row slices.
+
+    Yields (slice_shape, masks) for consecutive slices of at most slice_rows
+    rows; draw_entries(dist, slice_shape, gen, masks) on each in turn draws
+    the block's rows and leaves gen where the one call would. For
+    bernoulli_normal, masks is a copy of gen at the block's start, and gen
+    skips the block's mask (one raw word per entry) to its normals.
+    """
+    rows, dim = shape
+    masks = None
+    if dist.kind == "bernoulli_normal":
+        masks = copy.deepcopy(gen)
+        bitgen = gen.bit_generator
+        state = bitgen.state
+        bitgen.advance(rows * dim)
+        # advance drops a buffered 32-bit half, which neither draw reads.
+        bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    for start in range(0, rows, slice_rows):
+        yield (min(slice_rows, rows - start), dim), masks
 
 
 def rademacher_bits(shape: tuple[int, ...], gen: np.random.Generator) -> np.ndarray:

@@ -7,6 +7,11 @@ parameters fitted from the sample. Fitting shifts the null distribution (the
 Lilliefors effect), so reported p-values are optimistic; they are used here
 for comparison against reference values computed the same way, not as
 calibrated significance levels.
+
+Tail probabilities are Monte Carlo counts over one seeded stream, drawn and
+counted a slice of at most 2**18 entries at a time, so a 10^6-trial estimate
+at n = 400 holds about 2 MB of draws; rademacher rows along a flat direction
+are counted exactly in integers.
 """
 
 from __future__ import annotations
@@ -17,15 +22,17 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .sampling import EntryDistribution, SeedSpec, draw_entries, rademacher_bits
+from .sampling import EntryDistribution, SeedSpec, _block_slices, draw_entries, rademacher_bits
 from .solver import UNIT_COST_TOL
 
 KS_SERIES_TERM_TOL = 1e-12
 KS_SERIES_MAX_TERMS = 100000
+# Rows per draw block of tail_probability_mc. bernoulli_normal draws each
+# block's mask before its normals, so its results depend on this layout;
+# no other law's do.
 MC_CHUNK_ROWS = 65536
-# Rows per slice of the exact rademacher lattice count. The draws are
-# sequential and the counts exact integers, so no result depends on it.
-_LATTICE_SLICE_ROWS = 8192
+# Entries per slice of a block, the most tail_probability_mc holds at once.
+_SLICE_ENTRIES = 2**18
 # A tail threshold this close above an attainable value of <y, xi> counts as
 # that value.
 LATTICE_TIE_TOL = 1e-9
@@ -167,13 +174,16 @@ def tail_probability_mc(
     """Monte Carlo estimate of P{<y, xi> >= t} for a fresh coefficient row xi.
 
     Draws come from the single stream named by seed, so results are
-    reproducible for fixed inputs regardless of platform. The floating-point
-    paths consume it in fixed blocks of MC_CHUNK_ROWS rows, which is part of
-    the result: a bernoulli_normal draw depends on its block layout. For
-    rademacher rows and a flat y (all entries equal and positive),
-    <y, xi> = S * y[0] with the integer S = 2 * (number of +1s) - dim, so
-    hits are counted exactly in integers from the same draws, in slices of
-    _LATTICE_SLICE_ROWS rows whose size changes no result.
+    reproducible for fixed inputs regardless of platform. The stream is read
+    in blocks of MC_CHUNK_ROWS rows, the layout a bernoulli_normal draw
+    depends on, and each block in slices of at most _SLICE_ENTRIES entries,
+    rounded down to a multiple of 4 rows, so memory stays bounded at any
+    trial count. Slicing changes no draw, and no result on a BLAS whose
+    per-row sums depend only on a row's offset modulo 4 within a mat-vec
+    call, as OpenBLAS's do. For rademacher rows and a flat y (all entries
+    equal and positive), <y, xi> = S * y[0] with the integer S = 2 * (number
+    of +1s) - dim, so hits are counted exactly in integers from the same
+    draws.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -187,15 +197,16 @@ def tail_probability_mc(
     lattice = dist.kind == "rademacher" and y[0] > 0.0 and bool(np.all(y == y[0]))
     if lattice:
         k_t = _lattice_threshold(dim, float(y[0]), t)
-    step = _LATTICE_SLICE_ROWS if lattice else MC_CHUNK_ROWS
+    slice_rows = max(4, _SLICE_ENTRIES // dim // 4 * 4)
     hits = 0
-    for done in range(0, trials, step):
-        rows = min(step, trials - done)
-        if lattice:
-            ones = rademacher_bits((rows, dim), gen).sum(axis=1, dtype=np.int32)
-            hits += int(np.count_nonzero(2 * ones - dim >= k_t))
-        else:
-            hits += int(np.count_nonzero(draw_entries(dist, (rows, dim), gen) @ y >= t))
+    for done in range(0, trials, MC_CHUNK_ROWS):
+        block = (min(MC_CHUNK_ROWS, trials - done), dim)
+        for shape, masks in _block_slices(dist, block, gen, slice_rows):
+            if lattice:
+                ones = rademacher_bits(shape, gen).sum(axis=1, dtype=np.int32)
+                hits += int(np.count_nonzero(2 * ones - dim >= k_t))
+            else:
+                hits += int(np.count_nonzero(draw_entries(dist, shape, gen, masks) @ y >= t))
     p_hat = hits / trials
     se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return TailEstimate(p_hat=p_hat, standard_error=se, trials=trials)

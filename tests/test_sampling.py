@@ -13,6 +13,7 @@ from randlp.sampling import (
     CostVectorKind,
     EntryDistribution,
     SeedSpec,
+    _block_slices,
     draw_entries,
     rademacher_bits,
     sample_cost_vector,
@@ -57,6 +58,17 @@ class TestEntryDistribution:
         nz = A[A != 0.0]
         assert 1.7 < float(nz.var()) < 2.3
 
+    @pytest.mark.parametrize("p", [0.5, 0.1, 1.0])
+    def test_bernoulli_normal_is_mask_then_normals(self, p):
+        # Bit for bit where(mask, normals * sqrt(1/p), 0.0), the whole mask
+        # drawn first: a dropped entry is +0.0 and a kept one keeps its sign.
+        x = draw_entries(EntryDistribution.bernoulli_normal(p), (300, 7), SeedSpec(6, 2).generator())
+        twin = SeedSpec(6, 2).generator()
+        mask = twin.random((300, 7)) < p
+        ref = np.where(mask, twin.standard_normal((300, 7)) * math.sqrt(1.0 / p), 0.0)
+        assert_array_equal(x, ref)
+        assert_array_equal(np.signbit(x), np.signbit(ref))
+
     def test_size_validation(self):
         with pytest.raises(ValueError):
             sample_matrix(EntryDistribution.gaussian(), 0, 3, SeedSpec(0, 0))
@@ -65,8 +77,9 @@ class TestEntryDistribution:
         # Gaussian and Rademacher streams are position-independent: drawing
         # 2+3 rows equals drawing 5 rows, also when a 3x3 rademacher chunk
         # leaves half a raw word buffered for the next. (bernoulli_normal is
-        # not, because each call interleaves its mask and normal blocks; chunk
-        # layout is therefore part of any caller's determinism contract.)
+        # not, because each call draws its whole mask before its normals;
+        # chunk layout is therefore part of any caller's determinism contract,
+        # and TestBlockSlices covers drawing one call's block in slices.)
         cases = [
             (EntryDistribution.gaussian(), (2, 4), (3, 4)),
             (EntryDistribution.rademacher(), (2, 4), (3, 4)),
@@ -78,6 +91,30 @@ class TestEntryDistribution:
             bottom = draw_entries(dist, bottom_shape, gen)
             whole = draw_entries(dist, (5, top_shape[1]), SeedSpec(9, 1).generator())
             assert_array_equal(np.vstack([top, bottom]), whole)
+
+
+class TestBlockSlices:
+    @pytest.mark.parametrize(
+        "dist",
+        [EntryDistribution.gaussian(), EntryDistribution.rademacher(), EntryDistribution.bernoulli_normal(0.3)],
+        ids=lambda d: d.kind,
+    )
+    @pytest.mark.parametrize("rows, slice_rows", [(12, 4), (11, 4), (7, 100)])
+    def test_slices_stack_to_the_block(self, dist, rows, slice_rows):
+        # Drawn slice by slice, a block equals one draw_entries call and
+        # leaves the generator in that call's state, also when a 32-bit half
+        # is buffered on entry; the next draws then agree too.
+        gen = SeedSpec(8, 3).generator()
+        twin = SeedSpec(8, 3).generator()
+        rademacher_bits((3,), gen)
+        rademacher_bits((3,), twin)
+        whole = draw_entries(dist, (rows, 5), twin)
+        slices = _block_slices(dist, (rows, 5), gen, slice_rows)
+        parts = [draw_entries(dist, shape, gen, masks) for shape, masks in slices]
+        assert [part.shape[0] for part in parts[:-1]] == [slice_rows] * (len(parts) - 1)
+        assert_array_equal(np.vstack(parts), whole)
+        assert gen.bit_generator.state == twin.bit_generator.state
+        assert_array_equal(draw_entries(dist, (3, 5), gen), draw_entries(dist, (3, 5), twin))
 
 
 class TestRademacherBits:

@@ -4,12 +4,13 @@ Tests for the statistical layer: reference level, moments, KS, tails.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from randlp.sampling import EntryDistribution, SeedSpec
+from randlp.sampling import EntryDistribution, SeedSpec, draw_entries
 from randlp.stats import (
     MC_CHUNK_ROWS,
     asymptotic_bound,
@@ -26,6 +27,10 @@ from randlp.stats import (
 # Exact binomial tail P{Bin(400, 1/2) >= 218}, the true value of the flat
 # Rademacher tail at threshold 1.8 in R^400 (computed with math.comb).
 BINOM_400_218 = 0.03999422712871022
+
+GAUSSIAN = EntryDistribution.gaussian()
+RADEMACHER = EntryDistribution.rademacher()
+BERNOULLI_NORMAL = EntryDistribution.bernoulli_normal()
 
 
 class TestAsymptoticBound:
@@ -234,10 +239,32 @@ class TestTailProbabilityMc:
         # 9 * (MC_CHUNK_ROWS + 4001) entries: the last rows hold an odd number.
         self.test_rademacher_flat_counts_lattice_sums(9, 0.5, 3, trials=MC_CHUNK_ROWS + 4001)
 
-    def test_determinism_across_chunk_boundary(self):
-        # 70000 trials span two fixed-size blocks; same seed, same estimate.
-        y = np.full(8, 8**-0.5)
-        a = tail_probability_mc(y, EntryDistribution.bernoulli_normal(), 0.5, 70000, SeedSpec(4, 0))
-        b = tail_probability_mc(y, EntryDistribution.bernoulli_normal(), 0.5, 70000, SeedSpec(4, 0))
-        assert a.p_hat == b.p_hat
-        assert a.trials == 70000
+    def test_determinism_across_chunk_boundary(self, n=37, t=0.3, trials=MC_CHUNK_ROWS + 4001):
+        # Each law's estimate counts what whole MC_CHUNK_ROWS-row blocks of
+        # the stream count (the last one ragged), although it holds only
+        # slices of each block. y is not flat, so rademacher rows take the
+        # floating-point path too.
+        y = np.random.default_rng(5).standard_normal(n)
+        y /= np.linalg.norm(y)
+        for dist in (GAUSSIAN, RADEMACHER, BERNOULLI_NORMAL):
+            est = tail_probability_mc(y, dist, t, trials, SeedSpec(4, 0))
+            gen = SeedSpec(4, 0).generator()
+            hits = 0
+            for done in range(0, trials, MC_CHUNK_ROWS):
+                block = draw_entries(dist, (min(MC_CHUNK_ROWS, trials - done), n), gen)
+                hits += int(np.count_nonzero(block @ y >= t))
+            assert est.p_hat == hits / trials, dist.kind
+            assert est.trials == trials
+
+    @pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER, BERNOULLI_NORMAL], ids=lambda d: d.kind)
+    def test_memory_bounded_by_slice(self, dist):
+        # A 20000 x 400 block would be 64 MB of floats; the estimate holds one
+        # slice of 2**18 entries (2 MB of floats) and its mask at a time.
+        y = np.full(400, 400**-0.5)
+        tracemalloc.start()
+        try:
+            tail_probability_mc(y, dist, 1.75, 20000, SeedSpec(0, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6

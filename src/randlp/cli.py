@@ -165,17 +165,14 @@ def _cmd_solve(args) -> int:
 def _cmd_restore(args) -> int:
     from dataclasses import asdict
 
-    from .restore import DegenerateBlock, RestoreOptions, restore
+    from .restore import RestoreOptions, restore
 
     A, c = _load_instance(args.instance)
     opts = _load_config(args).restore if args.config else RestoreOptions()
-    status = 0
-    try:
-        trace = restore(A, c, opts)
-    except DegenerateBlock as exc:
-        trace = exc.trace
-        status = 2
+    trace = restore(A, c, opts)
     payload = {
+        "status": trace.status,
+        "message": trace.message,
         "converged": trace.converged,
         "iterations": trace.iterations,
         "objective": float(c @ trace.final_x),
@@ -183,9 +180,7 @@ def _cmd_restore(args) -> int:
         "final_x": [float(v) for v in trace.final_x],
     }
     _write_json(payload, args.out)
-    if not trace.converged:
-        status = 2
-    return status
+    return 0 if trace.converged else 2
 
 
 def cap_blas_threads() -> None:

@@ -2,7 +2,9 @@
 
 The spherical mean width is twice the expected support value over uniformly
 random unit directions; each direction is resolved exactly by the solver, so
-the only error is Monte Carlo.
+the only error is Monte Carlo. A direction that is unbounded or not certified
+optimal ends the estimate: it comes back NaN with the reason in its error
+field, and only bad input raises.
 """
 
 from __future__ import annotations
@@ -16,16 +18,13 @@ from .sampling import SeedSpec
 from .solver import LPInstance, solve
 
 
-class UnboundedDirection(Exception):
-    """A sampled direction has unbounded support value; the width is infinite."""
-
-
 @dataclass(frozen=True)
 class MeanWidthEstimate:
     estimate: float
     standard_error: float
     trials: int
     normalized: float
+    error: str = ""
 
 
 def mean_width_mc(A: np.ndarray, trials: int, seed: SeedSpec) -> MeanWidthEstimate:
@@ -34,6 +33,8 @@ def mean_width_mc(A: np.ndarray, trials: int, seed: SeedSpec) -> MeanWidthEstima
     All directions are drawn up front from the one stream named by seed and
     solved in draw order, so fixed (A, trials, seed) reproduces bitwise.
     normalized is sqrt(2 log(m/n)) times the estimate when m > n, else NaN.
+    The first direction that is unbounded or not certified stops the run and
+    sets error; estimate, standard_error and normalized are then NaN.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -50,10 +51,13 @@ def mean_width_mc(A: np.ndarray, trials: int, seed: SeedSpec) -> MeanWidthEstima
     values = np.empty(trials)
     for k in range(trials):
         outcome = solve(LPInstance(A, directions[k]))
-        if outcome.status == "unbounded":
-            raise UnboundedDirection(f"direction {k} of {trials} is unbounded")
         if outcome.status != "optimal":
-            raise RuntimeError(f"direction {k}: solver reported {outcome.status}: {outcome.message}")
+            if outcome.status == "unbounded":
+                error = f"direction {k} of {trials} is unbounded"
+            else:
+                error = f"direction {k}: solver reported {outcome.status}: {outcome.message}"
+            nan = float("nan")
+            return MeanWidthEstimate(estimate=nan, standard_error=nan, trials=trials, normalized=nan, error=error)
         values[k] = outcome.z_star
 
     estimate = 2.0 * float(np.mean(values))

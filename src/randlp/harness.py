@@ -24,8 +24,8 @@ import numpy as np
 
 from .cli import cap_blas_threads
 from .config import MAX_REPLICATES, ExperimentConfig
-from .geometry import MeanWidthEstimate, UnboundedDirection, mean_width_mc
-from .restore import DegenerateBlock, restore
+from .geometry import mean_width_mc
+from .restore import restore
 from .sampling import CostVectorKind, EntryDistribution, SeedSpec, sample_cost_vector, sample_matrix
 from .solver import LPInstance, solve
 from .stats import asymptotic_bound, ecdf, histogram, ks_test, relative_gap, summarize, tail_probability_mc
@@ -151,19 +151,15 @@ def _restore_task(task: Tuple) -> Tuple[dict, RunRecord]:
     config, g, j, (_, cost_kind) = task
     A, c = sample_instance(config, g, j, cost_kind)
     t0 = time.perf_counter()
-    try:
-        trace = restore(A, c, config.restore)
-        status = "converged" if trace.converged else "non_converged"
-        error = None
-    except DegenerateBlock as exc:
-        trace, status, error = exc.trace, "degenerate_block", str(exc)
+    trace = restore(A, c, config.restore)
     wall = time.perf_counter() - t0
+    degenerate = trace.status == "degenerate_block"
     rec = _replicate_record(
-        config, g, j, z_star=None if error is not None else float(np.dot(c, trace.final_x)), pivots=0,
-        wall_time=wall, status=status, error=error, r=trace.iterations,
+        config, g, j, z_star=None if degenerate else float(np.dot(c, trace.final_x)), pivots=0,
+        wall_time=wall, status=trace.status, error=trace.message or None, r=trace.iterations,
         i0=trace.iterates[0].violated if trace.iterations >= 1 else 0,
         i1=trace.iterates[1].violated if trace.iterations >= 2 else 0,
-        converged=status == "converged", iterates=[asdict(it) for it in trace.iterates],
+        converged=trace.converged, iterates=[asdict(it) for it in trace.iterates],
     )
     z_x = rec.z_star if rec.z_star is not None else float("nan")
     row = {"m": rec.m, "n": rec.n, "r": rec.r, "z_x": z_x, "i0": rec.i0, "i1": rec.i1, "converged": rec.converged}
@@ -280,15 +276,9 @@ def _mean_width_task(task: Tuple) -> Tuple[dict, RunRecord]:
     """One grid point's mean width: its (row, record)."""
     config, g = task
     m, n = config.grid[g]
-    trials = config.trials
     A = sample_matrix(config.dist, m, n, SeedSpec(config.master_seed, stream_index(g, 0, LANE_MATRIX)))
     t0 = time.perf_counter()
-    try:
-        est = mean_width_mc(A, trials, SeedSpec(config.master_seed, stream_index(g, 0, LANE_AUX)))
-        error = None
-    except (UnboundedDirection, RuntimeError) as exc:
-        nan = float("nan")
-        est, error = MeanWidthEstimate(estimate=nan, standard_error=nan, trials=trials, normalized=nan), str(exc)
+    est = mean_width_mc(A, config.trials, SeedSpec(config.master_seed, stream_index(g, 0, LANE_AUX)))
     wall = time.perf_counter() - t0
     row = {
         "m": m,
@@ -298,10 +288,9 @@ def _mean_width_task(task: Tuple) -> Tuple[dict, RunRecord]:
         "standard_error": est.standard_error,
         "normalized": est.normalized,
     }
-    failed = error is not None
     record = _replicate_record(
-        config, g, 0, z_star=None if failed else est.estimate, pivots=0, wall_time=wall,
-        status="error" if failed else "optimal", error=error,
+        config, g, 0, z_star=None if est.error else est.estimate, pivots=0, wall_time=wall,
+        status="error" if est.error else "optimal", error=est.error or None,
     )
     return row, record
 

@@ -7,9 +7,11 @@ rows land exactly on 1 - eps. eps then shrinks geometrically. Because the
 correction directions v_i = row_i - <row_i, c> c are the rows with their
 c-component removed, the block solve is a Gram system over those directions.
 
-Non-convergence is a finding, not a crash: the trace comes back with
-converged False and every sweep recorded. Only a degenerate block that
-survives pruning raises.
+A run's outcome is the returned trace, never an exception: its status is
+"converged", "non_converged" (max_iters sweeps without reaching feas_tol) or
+"degenerate_block" (a sweep's Gram system stayed singular after pruning; the
+trace stops before that sweep and its message says which). Only bad input
+raises.
 """
 
 from __future__ import annotations
@@ -56,22 +58,22 @@ class IterationRecord:
 
 @dataclass
 class RestoreTrace:
+    """A restoration's outcome: status and message as in the module
+    docstring, and one record per completed sweep."""
+
     initial_x: np.ndarray
     final_x: np.ndarray
-    converged: bool
-    iterations: int
+    status: str
+    message: str = ""
     iterates: List[IterationRecord] = field(default_factory=list)
 
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
-class DegenerateBlock(Exception):
-    """A sweep's Gram system stayed singular even after pruning.
-
-    Carries the partial trace (everything up to the failed sweep) as .trace.
-    """
-
-    def __init__(self, message: str, trace: RestoreTrace):
-        super().__init__(message)
-        self.trace = trace
+    @property
+    def iterations(self) -> int:
+        return len(self.iterates)
 
 
 def restore(
@@ -109,9 +111,7 @@ def restore(
     for _ in range(opts.max_iters):
         values = A @ x
         if float(np.max(values - 1.0)) <= opts.feas_tol:
-            return RestoreTrace(
-                initial_x=x0, final_x=x, converged=True, iterations=len(records), iterates=records
-            )
+            return RestoreTrace(initial_x=x0, final_x=x, status="converged", iterates=records)
         idx = np.nonzero(values > 1.0 - eps)[0]
         b = 1.0 - eps - values[idx]
         rows = A[idx]
@@ -122,19 +122,16 @@ def restore(
         except SingularGram:
             col_norms = np.linalg.norm(V, axis=1)
             keep = np.nonzero(col_norms >= TINY_COLUMN_NORM)[0]
+            u = np.zeros(idx.size)
             try:
                 if keep.size == 0:
                     raise SingularGram("every correction direction is tiny")
-                u_kept, _ = pruned_gram_solve(M[:, keep], b[keep])
-                u = np.zeros(idx.size)
-                u[keep] = u_kept
-            except SingularGram as exc:
-                partial = RestoreTrace(
-                    initial_x=x0, final_x=x, converged=False, iterations=len(records), iterates=records
+                u[keep], _ = pruned_gram_solve(M[:, keep], b[keep])
+            except SingularGram:
+                message = f"sweep {len(records)}: {idx.size} rows, block singular after pruning"
+                return RestoreTrace(
+                    initial_x=x0, final_x=x, status="degenerate_block", message=message, iterates=records
                 )
-                raise DegenerateBlock(
-                    f"sweep {len(records)}: {idx.size} rows, block singular after pruning", partial
-                ) from exc
         step = M @ u
         records.append(
             IterationRecord(violated=int(idx.size), epsilon=eps, update_norm=float(np.linalg.norm(step)))
@@ -143,8 +140,6 @@ def restore(
         x = x + step
 
     values = A @ x
-    converged = float(np.max(values - 1.0)) <= opts.feas_tol
-    return RestoreTrace(
-        initial_x=x0, final_x=x, converged=converged, iterations=len(records), iterates=records
-    )
+    status = "converged" if float(np.max(values - 1.0)) <= opts.feas_tol else "non_converged"
+    return RestoreTrace(initial_x=x0, final_x=x, status=status, iterates=records)
 

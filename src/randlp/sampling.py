@@ -213,8 +213,7 @@ def sample_cost_vector(kind: CostVectorKind, n: int, seed: SeedSpec) -> np.ndarr
         return c
     gen = seed.generator()
     if kind.kind == "rescaled_rademacher":
-        signs = rademacher_bits((n,), gen).astype(float) * 2.0 - 1.0
-        return signs / math.sqrt(n)
+        return draw_entries(EntryDistribution.rademacher(), (n,), gen) / math.sqrt(n)
     g = gen.standard_normal(n)
     nrm = float(np.linalg.norm(g))
     if nrm == 0.0:

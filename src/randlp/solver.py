@@ -324,7 +324,7 @@ def _extract_optimal(inst: LPInstance, basis: _Basis, pivots: int) -> SolveOutco
 
 
 def _extract_unbounded(inst: LPInstance, basis: _Basis, pivots: int) -> SolveOutcome:
-    basis.refactor()
+    """Certify a ray from phase 1's multipliers; solve refactors basis first."""
     pi = _multipliers(basis, 1)
     along_c = float(np.dot(inst.c, pi))
     if along_c <= 0.0:

@@ -319,6 +319,20 @@ class TestInstanceCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["converged"] is False
         assert payload["iterations"] == 50
+        assert payload["status"] == "non_converged"
+        assert payload["message"] == ""
+
+    def test_restore_degenerate_block_exits_2(self, tmp_path, capsys):
+        # the second sweep's block is row (2, 0) alone, parallel to c, so
+        # pruning empties it and the run stops after one sweep
+        inst = tmp_path / "deg.npz"
+        np.savez(inst, A=np.array([[2.0, 0.0], [1.0, 1.0], [-1.0, 0.0]]), c=np.array([1.0, 0.0]))
+        assert main(["restore", str(inst)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "degenerate_block"
+        assert payload["converged"] is False
+        assert payload["iterations"] == 1
+        assert payload["message"]
 
     def test_restore_reads_options_from_config(self, tmp_path, capsys):
         inst = tmp_path / "pp.npz"

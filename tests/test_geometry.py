@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from randlp.geometry import MeanWidthEstimate, UnboundedDirection, mean_width_mc
+from randlp.geometry import MeanWidthEstimate, mean_width_mc
 from randlp.sampling import CostVectorKind, EntryDistribution, SeedSpec, sample_cost_vector, sample_matrix
 from randlp.solver import LPInstance, check_feasible, solve
 
@@ -25,8 +25,9 @@ class TestMeanWidthMc:
         assert est.standard_error > 0.0
 
     def test_halfspace_unbounded(self):
-        with pytest.raises(UnboundedDirection):
-            mean_width_mc(np.array([[1.0, 0.0]]), 10, SeedSpec(0, 0))
+        est = mean_width_mc(np.array([[1.0, 0.0]]), 10, SeedSpec(0, 0))
+        assert est.error.endswith(" of 10 is unbounded")
+        assert math.isnan(est.estimate) and math.isnan(est.standard_error) and math.isnan(est.normalized)
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from randlp.harness import (
     run_tail_check,
     stream_index,
 )
-from randlp.restore import DegenerateBlock, IterationRecord, RestoreTrace
+from randlp.restore import IterationRecord, RestoreTrace
 from randlp.sampling import CostVectorKind, SeedSpec, sample_cost_vector, sample_matrix
 from randlp.solver import LPInstance, SolveOutcome, solve
 from randlp.stats import asymptotic_bound, relative_gap, tail_probability_mc
@@ -294,8 +294,7 @@ class TestTableRunners:
             return RestoreTrace(
                 initial_x=x0,
                 final_x=x0,
-                converged=False,
-                iterations=7,
+                status="non_converged",
                 iterates=[
                     IterationRecord(violated=v, epsilon=0.1 * 0.1**k, update_norm=1.0)
                     for k, v in enumerate(violated)
@@ -314,13 +313,13 @@ class TestTableRunners:
         trace = RestoreTrace(
             initial_x=np.zeros(5),
             final_x=np.zeros(5),
-            converged=False,
-            iterations=1,
+            status="degenerate_block",
+            message="stub degenerate",
             iterates=[IterationRecord(violated=3, epsilon=0.1, update_norm=0.5)],
         )
 
         def stub(A, c, opts, initial_x=None):
-            raise DegenerateBlock("stub degenerate", trace)
+            return trace
 
         monkeypatch.setattr(harness, "restore", stub)
         result = run_algorithm_table(
@@ -347,6 +346,22 @@ class TestTableRunners:
         est = mean_width_mc(A, 64, SeedSpec(cfg.master_seed, stream_index(0, 0, LANE_AUX)))
         assert est.estimate == row["estimate"]
         assert result.records[0].status == "optimal"
+
+    def test_mean_width_uncertified_direction_is_an_error(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            "randlp.geometry.solve", lambda inst: SolveOutcome(status="numerical_failure", pivots=0, message="stub")
+        )
+        cfg = make_config(experiment="MeanWidth", grid=[[40, 4]], trials=16)
+        result = run_mean_width(cfg)
+        rec = result.records[0]
+        assert rec.status == "error"
+        assert rec.error.startswith("direction 0: solver reported numerical_failure")
+        assert rec.z_star is None
+        row = result.rows[0]
+        assert all(math.isnan(row[key]) for key in ("estimate", "standard_error", "normalized"))
+        emit(cfg, result, output_dir=str(tmp_path))
+        lines = (tmp_path / "mean_width.csv").read_text().splitlines()
+        assert lines[-1] == "# excluded_replicates=1"
 
     def test_tail_check_rows_rederive(self):
         cfg = make_config(

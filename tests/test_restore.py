@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from randlp.restore import DegenerateBlock, RestoreOptions, restore
+from randlp.restore import RestoreOptions, restore
 from randlp.sampling import CostVectorKind, EntryDistribution, SeedSpec, sample_cost_vector, sample_matrix
 from randlp.solver import check_feasible
 
@@ -154,14 +154,14 @@ class TestNonConvergence:
 
 
 class TestDegenerateBlock:
-    def test_parallel_row_raises_with_partial_trace(self):
+    def test_parallel_row_returns_partial_trace(self):
         # Sweep 1 repairs row (1,1) after pruning the direction of row (2,0)
         # (parallel to c, zero correction); sweep 2's block is that parallel
-        # row alone, so pruning empties it and the run aborts with the trace.
+        # row alone, so pruning empties it and the run stops with the trace.
         A = np.array([[2.0, 0.0], [1.0, 1.0], [-1.0, 0.0]])
-        with pytest.raises(DegenerateBlock) as excinfo:
-            restore(A, E1)
-        trace = excinfo.value.trace
+        trace = restore(A, E1)
+        assert trace.status == "degenerate_block"
+        assert trace.message == "sweep 1: 1 rows, block singular after pruning"
         assert not trace.converged
         assert trace.iterations == 1
         assert trace.iterates[0].violated == 2

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,7 +63,7 @@ class RunRecord:
     iterates: Optional[List[Dict[str, float]]] = None
 
     def to_json(self) -> str:
-        payload = {k: v for k, v in asdict(self).items() if v is not None}
+        payload = {k: v for k, v in vars(self).items() if v is not None}
         if self.z_star is None:
             payload["z_star"] = None
         return json.dumps(payload, sort_keys=True)
@@ -159,7 +159,7 @@ def _restore_task(task: Tuple) -> Tuple[dict, RunRecord]:
         wall_time=wall, status=trace.status, error=trace.message or None, r=trace.iterations,
         i0=trace.iterates[0].violated if trace.iterations >= 1 else 0,
         i1=trace.iterates[1].violated if trace.iterations >= 2 else 0,
-        converged=trace.converged, iterates=[asdict(it) for it in trace.iterates],
+        converged=trace.converged, iterates=[dict(vars(it)) for it in trace.iterates],
     )
     z_x = rec.z_star if rec.z_star is not None else float("nan")
     row = {"m": rec.m, "n": rec.n, "r": rec.r, "z_x": z_x, "i0": rec.i0, "i1": rec.i1, "converged": rec.converged}

@@ -8,6 +8,8 @@ concurrent workers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # A diagonal pivot below GRAM_PIVOT_REL * (largest initial diagonal of M^T M)
@@ -25,38 +27,54 @@ class SingularGram(Exception):
 def _pivoted_cholesky(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Factor P G P^T = L L^T with diagonal pivoting, stopping at rank.
 
-    Returns (L, perm, rank) where perm maps factor position -> original index.
-    Positions at and beyond `rank` had remaining diagonal <= the pivot floor.
+    Returns (L, perm, rank) where L is the rank-by-rank lower-triangular
+    factor and perm maps factor position -> original index. Positions at and
+    beyond `rank` had remaining diagonal <= the pivot floor.
+
+    The factor is computed in original index order: neither the working copy
+    W of G nor the columns of L are ever permuted. Each pivot is the first
+    largest remaining diagonal in factor-position order, the rank-1 update
+    runs over all of W (entries outside the remaining block only lose +-0
+    and are never read again), and the rows of L are gathered through perm
+    once at the end. Every entry of L therefore goes through the same
+    floating-point operations as in the right-looking algorithm that swaps
+    rows and columns at each pivot (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 10), and is bitwise equal to it.
     """
-    G = np.array(G, dtype=float)
-    k = G.shape[0]
+    W = np.array(G, dtype=float)
+    k = W.shape[0]
     perm = np.arange(k)
-    floor = GRAM_PIVOT_REL * max(float(np.max(np.diag(G))), 0.0) if k else 0.0
+    diag = W.diagonal()
+    floor = GRAM_PIVOT_REL * max(float(np.max(diag)), 0.0) if k else 0.0
+    # Row j of Lt is column j of L, indexed by original index.
+    Lt = np.zeros((k, k))
+    outer = np.empty((k, k))
     rank = k
     for j in range(k):
-        diag = np.diag(G)[j:]
-        p = j + int(np.argmax(diag))
-        if G[p, p] <= floor:
+        p = j + int(diag[perm[j:]].argmax())
+        q = int(perm[p])
+        pivot = float(diag[q])
+        if pivot <= floor:
             rank = j
             break
-        if p != j:
-            G[[j, p], :] = G[[p, j], :]
-            G[:, [j, p]] = G[:, [p, j]]
-            perm[[j, p]] = perm[[p, j]]
-        G[j, j] = np.sqrt(G[j, j])
+        perm[p] = perm[j]
+        perm[j] = q
+        s = math.sqrt(pivot)
+        col = Lt[j]
         if j + 1 < k:
-            G[j + 1 :, j] /= G[j, j]
-            G[j + 1 :, j + 1 :] -= np.outer(G[j + 1 :, j], G[j + 1 :, j])
-        G[j, j + 1 :] = 0.0
-    return G, perm, rank
+            np.divide(W[:, q], s, out=col)
+            col[perm[: j + 1]] = 0.0
+            np.multiply.outer(col, col, out=outer)
+            W -= outer
+        col[q] = s
+    return Lt[:rank, perm[:rank]].T, perm, rank
 
 
-def _solve_cholesky(L: np.ndarray, perm: np.ndarray, rank: int, b: np.ndarray) -> np.ndarray:
-    """Solve (P G P^T) w = P b using the leading rank-by-rank factor block."""
-    pb = b[perm[:rank]]
-    Lr = L[:rank, :rank]
-    w = np.linalg.solve(Lr, pb)
-    w = np.linalg.solve(Lr.T, w)
+def _solve_cholesky(L: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (P G P^T) w = P b restricted to the factor's rank leading positions."""
+    pb = b[perm[: L.shape[0]]]
+    w = np.linalg.solve(L, pb)
+    w = np.linalg.solve(L.T, w)
     return w
 
 
@@ -78,14 +96,14 @@ def gram_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     L, perm, rank = _pivoted_cholesky(G)
     if rank < k:
         raise SingularGram(f"pivot below tolerance after {rank} of {k} columns")
-    w = _solve_cholesky(L, perm, rank, b)
+    w = _solve_cholesky(L, perm, b)
     u = np.empty(k)
     u[perm] = w
     # One refinement step keeps the residual contract on ill-scaled blocks.
     resid = b - G @ u
     bound = GRAM_RESIDUAL_REL * (1.0 + float(np.linalg.norm(b)))
     if float(np.linalg.norm(resid)) > bound:
-        w = _solve_cholesky(L, perm, rank, resid)
+        w = _solve_cholesky(L, perm, resid)
         du = np.zeros(k)
         du[perm] = w
         u = u + du
@@ -112,7 +130,7 @@ def pruned_gram_solve(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     L, perm, rank = _pivoted_cholesky(G)
     if rank == 0:
         raise SingularGram("no acceptable pivot in block")
-    w = _solve_cholesky(L, perm, rank, b)
+    w = _solve_cholesky(L, perm, b)
     u = np.zeros(k)
     u[perm[:rank]] = w
     return u, np.sort(perm[:rank])

@@ -110,7 +110,7 @@ def restore(
 
     for _ in range(opts.max_iters):
         values = A @ x
-        if float(np.max(values - 1.0)) <= opts.feas_tol:
+        if float(values.max()) - 1.0 <= opts.feas_tol:
             return RestoreTrace(initial_x=x0, final_x=x, status="converged", iterates=records)
         idx = np.nonzero(values > 1.0 - eps)[0]
         b = 1.0 - eps - values[idx]
@@ -140,6 +140,6 @@ def restore(
         x = x + step
 
     values = A @ x
-    status = "converged" if float(np.max(values - 1.0)) <= opts.feas_tol else "non_converged"
+    status = "converged" if float(values.max()) - 1.0 <= opts.feas_tol else "non_converged"
     return RestoreTrace(initial_x=x0, final_x=x, status=status, iterates=records)
 

@@ -7,9 +7,11 @@ expected values here are frozen from the seeds in use. One test exercises a
 real two-worker process pool and takes a few seconds.
 """
 
+import copy
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -120,6 +122,42 @@ class TestRecordDerivation:
             cfg.cost_kind, 6, SeedSpec(cfg.master_seed, stream_index(0, 2, LANE_COST))
         )
         assert np.any(fixed != fresh)
+
+
+def _asdict_to_json(rec):
+    """RunRecord.to_json as first written, through a deep copy by asdict."""
+    payload = {k: v for k, v in asdict(rec).items() if v is not None}
+    if rec.z_star is None:
+        payload["z_star"] = None
+    return json.dumps(payload, sort_keys=True)
+
+
+class TestRecordJson:
+    def _records(self):
+        restoration = run_algorithm_table(
+            config_from_mapping(
+                {"experiment": "AlgorithmTable", "grid": [[100, 10]], "sample_size": 2,
+                 "cost": {"kind": "uniform_sphere"}, "master_seed": 11}
+            )
+        ).records[0]
+        optimal = run_objective_table(make_config()).records[0]
+        failed = harness.RunRecord(
+            m=6, n=5, replicate_index=0, stream_index=0, z_star=None, pivots=3, wall_time=0.5,
+            status="unbounded", error="unbounded",
+        )
+        return restoration, optimal, failed
+
+    def test_matches_asdict_definition(self):
+        restoration, optimal, failed = self._records()
+        assert restoration.iterates and restoration.status == "converged"
+        assert optimal.status == "optimal" and optimal.iterates is None
+        for rec in (restoration, optimal, failed):
+            before = copy.deepcopy(rec)
+            text = rec.to_json()
+            assert text == _asdict_to_json(rec)
+            assert rec.to_json() == text
+            assert rec == before
+        assert json.loads(failed.to_json())["z_star"] is None
 
 
 class TestStubSolver:

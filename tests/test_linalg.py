@@ -7,12 +7,65 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from randlp import linalg
 from randlp.linalg import (
+    GRAM_PIVOT_REL,
     GRAM_RESIDUAL_REL,
     SingularGram,
     gram_solve,
     pruned_gram_solve,
 )
+
+
+def swap_pivoted_cholesky(G):
+    """Reference factor: right-looking diagonally pivoted Cholesky that swaps
+    rows and columns of the working matrix at every pivot. It returns the
+    leading rank-by-rank block of its working matrix as L, the factor
+    contract of randlp.linalg._pivoted_cholesky."""
+    G = np.array(G, dtype=float)
+    k = G.shape[0]
+    perm = np.arange(k)
+    floor = GRAM_PIVOT_REL * max(float(np.max(np.diag(G))), 0.0) if k else 0.0
+    rank = k
+    for j in range(k):
+        diag = np.diag(G)[j:]
+        p = j + int(np.argmax(diag))
+        if G[p, p] <= floor:
+            rank = j
+            break
+        if p != j:
+            G[[j, p], :] = G[[p, j], :]
+            G[:, [j, p]] = G[:, [p, j]]
+            perm[[j, p]] = perm[[p, j]]
+        G[j, j] = np.sqrt(G[j, j])
+        if j + 1 < k:
+            G[j + 1 :, j] /= G[j, j]
+            G[j + 1 :, j + 1 :] -= np.outer(G[j + 1 :, j], G[j + 1 :, j])
+        G[j, j + 1 :] = 0.0
+    return G[:rank, :rank], perm, rank
+
+
+def _block(kind, gen):
+    """One seeded n-by-k block M of the given kind; its Gram matrix is M^T M."""
+    k = 1 if kind == "k1" else int(gen.integers(2, 13))
+    n = int(gen.integers(1, 2 * k + 2))
+    if kind == "integer":
+        # Small integer entries make exactly equal diagonals, so ties decide pivots.
+        return gen.integers(-2, 3, size=(n, k)).astype(float)
+    if kind == "rank_one":
+        return np.outer(gen.standard_normal(n), gen.standard_normal(k))
+    M = gen.standard_normal((n, k))
+    if kind == "duplicated":
+        src = gen.integers(0, k, size=k // 2 + 1)
+        dst = gen.integers(0, k, size=src.size)
+        M[:, dst] = M[:, src] * gen.choice([-1.0, 1.0, 2.0], size=src.size)
+    elif kind == "zero_columns":
+        M[:, gen.integers(0, k, size=k // 3 + 1)] = 0.0
+    return M
+
+
+BLOCK_KINDS = ["gaussian", "duplicated", "zero_columns", "integer", "rank_one", "k1"]
+BLOCKS_PER_KIND = 350
 
 
 class TestGramSolve:
@@ -91,3 +144,46 @@ class TestPrunedGramSolve:
     def test_empty_raises(self):
         with pytest.raises(SingularGram):
             pruned_gram_solve(np.zeros((2, 0)), np.zeros(0))
+
+
+class TestFactorBitwise:
+    """The shipped factor never swaps rows or columns; these tests pin it bit
+    for bit (signs of zero included) to the swapping reference above."""
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    def test_matches_swapping_reference(self, kind):
+        gen = np.random.default_rng(BLOCK_KINDS.index(kind))
+        for _ in range(BLOCKS_PER_KIND):
+            M = _block(kind, gen)
+            G = M.T @ M
+            ref_L, ref_perm, ref_rank = swap_pivoted_cholesky(G)
+            L, perm, rank = linalg._pivoted_cholesky(G)
+            assert rank == ref_rank
+            assert perm.tolist() == ref_perm.tolist()
+            assert L.shape == (rank, rank)
+            assert L.tobytes() == ref_L.tobytes()
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    def test_solves_match_swapping_reference(self, kind, monkeypatch):
+        gen = np.random.default_rng(100 + BLOCK_KINDS.index(kind))
+        cases = []
+        for _ in range(BLOCKS_PER_KIND // 5):
+            M = _block(kind, gen)
+            cases.append((M, gen.standard_normal(M.shape[1])))
+
+        def outcomes():
+            out = []
+            for M, b in cases:
+                for fn in (gram_solve, pruned_gram_solve):
+                    try:
+                        result = fn(M, b)
+                    except SingularGram as exc:
+                        out.append(("raised", str(exc)))
+                        continue
+                    parts = result if isinstance(result, tuple) else (result,)
+                    out.append(tuple(np.asarray(part).tobytes() for part in parts))
+            return out
+
+        shipped = outcomes()
+        monkeypatch.setattr(linalg, "_pivoted_cholesky", swap_pivoted_cholesky)
+        assert outcomes() == shipped

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from randlp import linalg
 from randlp.restore import RestoreOptions, restore
 from randlp.sampling import CostVectorKind, EntryDistribution, SeedSpec, sample_cost_vector, sample_matrix
 from randlp.solver import check_feasible
+from test_linalg import swap_pivoted_cholesky
 
 E1 = np.array([1.0, 0.0])
 
@@ -151,6 +153,25 @@ class TestNonConvergence:
         assert trace.iterations == 50
         # The objective is still preserved on the partial result.
         assert abs(float(np.dot(c, trace.final_x - trace.initial_x))) <= 1e-10
+
+
+class TestGramFactorIdentity:
+    # Whether a zig-zag run converges depends on the last bits of every Gram
+    # solve, so restoration must not see which factor algorithm ran.
+    @pytest.mark.parametrize(
+        "shape, master, converged",
+        [((1000, 50), 2, False), ((2000, 100), 0, True)],
+        ids=["slow_1000x50", "converged_2000x100"],
+    )
+    def test_trace_matches_swapping_factor(self, shape, master, converged, monkeypatch):
+        A, c = gaussian_instance(*shape, master)
+        shipped = restore(A, c)
+        monkeypatch.setattr(linalg, "_pivoted_cholesky", swap_pivoted_cholesky)
+        reference = restore(A, c)
+        assert shipped.converged == converged
+        assert shipped.status == reference.status
+        assert shipped.final_x.tobytes() == reference.final_x.tobytes()
+        assert shipped.iterates == reference.iterates
 
 
 class TestDegenerateBlock:

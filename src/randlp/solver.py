@@ -24,13 +24,16 @@ the degenerate-pivot budget is spent, pricing switches permanently to
 Bland's rule, which rules out cycling; Bland's smallest index is taken over
 all m columns, so from then on every pivot is a full pass.
 
-The simplex multipliers pi = B^-T c_B are updated after each pivot by the
-entering column's reduced cost times the new pivot row of B^-1, and are
-recomputed from B^-1 before every full pass and after every refactor, so
-optimality and Bland's smallest index are only ever decided on freshly
-computed multipliers. The basis inverse is refreshed from scratch every
-REFACTOR_INTERVAL pivots, and whenever the basic residual, checked every
-RESIDUAL_CHECK pivots, has drifted.
+The simplex multipliers pi = B^-T c_B and the basic values x_B are the last
+row and column of an extended inverse [[B^-1, x_B], [pi, .]], and one rank-1
+update per pivot moves all three: its pivot column is the entering column's
+ftran extended by minus its reduced cost, so pi moves by that reduced cost
+times the new pivot row of B^-1. The multipliers are recomputed from B^-1
+before every full pass and after every refactor, so optimality and Bland's
+smallest index are only ever decided on freshly computed multipliers. The
+basis inverse is refreshed from scratch every REFACTOR_INTERVAL pivots, and
+whenever the basic residual, checked every RESIDUAL_CHECK pivots, has
+drifted.
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ class LPInstance:
             raise ValueError(f"shape mismatch: A is {A.shape}, c has length {c.shape}")
         if A.shape[0] < 1 or A.shape[1] < 1:
             raise ValueError("m and n must be at least 1")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(c))):
+        # min and max propagate NaN and +-inf, and build no m x n mask.
+        if not all(np.isfinite(v) for v in (A.min(), A.max(), c.min(), c.max())):
             raise ValueError("entries must be finite")
         if abs(float(np.linalg.norm(c)) - 1.0) > UNIT_COST_TOL:
             raise ValueError("c must have unit Euclidean norm")
@@ -140,42 +144,54 @@ class _Basis:
     Columns 0..m-1 are the y variables (column j of A^T is row j of A);
     columns m..m+n-1 are phase-1 artificials with column sign(c_j) * e_j.
     Artificials only leave the basis, so every entering column is a row of A.
+
+    B^-1, the basic values x_B = B^-1 c and the running phase's multipliers
+    pi are kept as one extended inverse T = [[B^-1, x_B], [pi, .]] of order
+    n + 1; Binv, xB and pi are views of it, so the one rank-1 update of T in
+    swap moves all three.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray):
         self.A = A
         self.b = c
         self.m, self.n = A.shape
-        signs = np.where(c >= 0.0, 1.0, -1.0)
-        self.basis = np.arange(self.m, self.m + self.n)
-        self.Bmat = np.diag(signs)
-        self.Binv = np.diag(signs)
-        # Scratch for the rank-1 term of the basis-inverse update.
-        self.outer = np.empty((self.n, self.n))
-        self.xB = np.abs(c).astype(float)
-        self.in_basis = np.zeros(self.m + self.n, dtype=bool)
+        n = self.n
+        self.basis = np.arange(self.m, self.m + n)
+        self.Bmat = np.diag(np.where(c >= 0.0, 1.0, -1.0))
+        self.T = np.zeros((n + 1, n + 1))
+        self.Binv = self.T[:n, :n]
+        self.xB = self.T[:n, n]
+        self.pi = self.T[n, :n]
+        self.Binv[...] = self.Bmat
+        self.xB[...] = np.abs(c)
+        # Scratch for the rank-1 term of the update.
+        self.outer = np.empty((n + 1, n + 1))
+        self.in_basis = np.zeros(self.m + n, dtype=bool)
         self.in_basis[self.basis] = True
 
     def refactor(self) -> float:
         """Rebuild the inverse and basic values from scratch; return residual."""
-        self.Binv = np.linalg.inv(self.Bmat)
-        self.xB = self.Binv @ self.b
+        self.Binv[...] = np.linalg.inv(self.Bmat)
+        self.xB[...] = self.Binv @ self.b
         return self.residual()
 
     def residual(self) -> float:
         return float(np.abs(self.Bmat @ self.xB - self.b).max())
 
-    def swap(self, pos: int, entering: int, d: np.ndarray, theta: float) -> None:
+    def swap(self, pos: int, entering: int, d_aug: np.ndarray, theta: float) -> None:
+        """Pivot the column with ftran d = d_aug[:n] into position pos at step theta.
+
+        d_aug[n] is minus the entering reduced cost, so pi moves by r_j times
+        the new row pos of B^-1 (0 leaves pi as it is)."""
         leaving = self.basis[pos]
         self.in_basis[leaving] = False
         self.in_basis[entering] = True
         self.basis[pos] = entering
         self.Bmat[:, pos] = self.A[entering]
-        self.xB -= theta * d
-        self.xB[pos] = theta
-        pivrow = self.Binv[pos] / d[pos]
-        self.Binv -= np.einsum("i,j->ij", d, pivrow, out=self.outer)
-        self.Binv[pos] = pivrow
+        pivrow = self.T[pos] / d_aug[pos]
+        pivrow[self.n] = theta
+        self.T -= np.einsum("i,j->ij", d_aug, pivrow, out=self.outer)
+        self.T[pos] = pivrow
 
 
 def _price(rows: np.ndarray, pi: np.ndarray, phase: int) -> np.ndarray:
@@ -195,12 +211,16 @@ def _multipliers(basis: _Basis, phase: int) -> np.ndarray:
     return basis.Binv.T @ cost_B
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _run_phase(basis: _Basis, phase: int, state: dict) -> str:
-    """Run one simplex phase to optimality. Returns "optimal" or a failure tag."""
-    m = basis.m
-    degenerate_budget = DEGENERATE_BUDGET * (m + basis.n)
-    max_pivots = PIVOT_BUDGET * (m + basis.n)
-    refill = WORKING_SET * basis.n
+    """Run one simplex phase to optimality. Returns "optimal" or a failure tag.
+
+    The ratio test divides by every entry of the ftran column, so division
+    by zero is expected and masked afterwards, not warned about."""
+    m, n = basis.m, basis.n
+    degenerate_budget = DEGENERATE_BUDGET * (m + n)
+    max_pivots = PIVOT_BUDGET * (m + n)
+    refill = WORKING_SET * n
     # The working set as a row mask (state["in_set"], None when it never
     # forms); its sorted indices and rows of A are gathered at the start of
     # the phase and once per refill.
@@ -210,74 +230,87 @@ def _run_phase(basis: _Basis, phase: int, state: dict) -> str:
     if in_set is not None and in_set.any():
         rows = np.flatnonzero(in_set)
         A_rows = basis.A[rows]
-    ratios = np.empty(basis.n)
-    pi = _multipliers(basis, phase)
-    while True:
-        if state["pivots"] >= max_pivots:
-            return "pivot_budget"
-        j = -1
-        if rows is not None and not state["bland"]:
-            r = _price(A_rows, pi, phase)
-            r[basis.in_basis[rows]] = np.inf
-            i = int(r.argmin())
-            if r[i] < -REDUCED_COST_TOL:
-                j = int(rows[i])
-                r_j = float(r[i])
-        if j < 0:
-            pi = _multipliers(basis, phase)
-            r = _price(basis.A, pi, phase)
-            # Columns already in the basis are never candidates.
-            r[basis.in_basis[:m]] = np.inf
-            if state["bland"]:
-                cand = np.flatnonzero(r < -REDUCED_COST_TOL)
-                if cand.size == 0:
-                    return "optimal"
-                j = int(cand[0])
-            else:
-                j = int(r.argmin())
-                if r[j] >= -REDUCED_COST_TOL:
-                    return "optimal"
-                if in_set is not None:
-                    best = np.argpartition(r, refill)[:refill]
-                    in_set[best[r[best] < -REDUCED_COST_TOL]] = True
-                    rows = np.flatnonzero(in_set)
-                    A_rows = basis.A[rows]
-            r_j = float(r[j])
-        d = basis.Binv @ basis.A[j]
-        pos_mask = d > PIVOT_TOL
-        if not pos_mask.any():
-            # The standard form is bounded below by 0, so this is numeric dirt.
-            return "no_pivot_row"
-        ratios.fill(np.inf)
-        np.divide(basis.xB, d, out=ratios, where=pos_mask)
-        if state["bland"]:
-            theta = max(float(ratios.min()), 0.0)
-            ties = np.flatnonzero(ratios <= theta)
-            pos = int(ties[basis.basis[ties].argmin()])
-        else:
+    pivots, degenerate, bland = state["pivots"], state["degenerate"], state["bland"]
+    # The entering column's ftran d = B^-1 a_j, extended by minus its reduced
+    # cost, is the pivot column of the extended inverse.
+    d_aug = np.empty(n + 1)
+    d = d_aug[:n]
+    ratios = np.empty(n)
+    pi = basis.pi
+    pi[...] = _multipliers(basis, phase)
+    try:
+        while True:
+            if pivots >= max_pivots:
+                return "pivot_budget"
+            j = -1
+            if rows is not None and not bland:
+                r = _price(A_rows, pi, phase)
+                i = int(r.argmin())
+                # A first minimum at a nonbasic column is also the first
+                # minimum once basic columns are masked, so mask only when
+                # the argmin falls on a basic one.
+                if basis.in_basis[rows[i]]:
+                    r[basis.in_basis[rows]] = np.inf
+                    i = int(r.argmin())
+                if r[i] < -REDUCED_COST_TOL:
+                    j = int(rows[i])
+                    r_j = float(r[i])
+            if j < 0:
+                pi[...] = _multipliers(basis, phase)
+                r = _price(basis.A, pi, phase)
+                # Columns already in the basis are never candidates.
+                r[basis.in_basis[:m]] = np.inf
+                if bland:
+                    cand = np.flatnonzero(r < -REDUCED_COST_TOL)
+                    if cand.size == 0:
+                        return "optimal"
+                    j = int(cand[0])
+                else:
+                    j = int(r.argmin())
+                    if r[j] >= -REDUCED_COST_TOL:
+                        return "optimal"
+                    if in_set is not None:
+                        best = np.argpartition(r, refill)[:refill]
+                        in_set[best[r[best] < -REDUCED_COST_TOL]] = True
+                        rows = np.flatnonzero(in_set)
+                        A_rows = basis.A[rows]
+                r_j = float(r[j])
+            np.matmul(basis.Binv, basis.A[j], out=d)
+            # Only rows with d_i > PIVOT_TOL can block; a NaN in d never does.
+            np.divide(basis.xB, d, out=ratios)
+            ratios[~(d > PIVOT_TOL)] = np.inf
             pos = int(ratios.argmin())
-            theta = max(float(ratios[pos]), 0.0)
-        if theta < 1e-12:
-            state["degenerate"] += 1
-            if state["degenerate"] > degenerate_budget:
-                state["bland"] = True
-        basis.swap(pos, j, d, theta)
-        state["pivots"] += 1
-        pivots = state["pivots"]
-        if pivots % REFACTOR_INTERVAL == 0 or (
-            pivots % RESIDUAL_CHECK == 0 and basis.residual() > RESIDUAL_REFACTOR
-        ):
-            basis.refactor()
-            np.clip(basis.xB, 0.0, None, out=basis.xB)
-            pi = _multipliers(basis, phase)
-        else:
-            # c_B changes only at pos, so B^-T c_B moves by r_j times the
-            # new row pos of B^-1.
-            pi += r_j * basis.Binv[pos]
+            theta = float(ratios[pos])
+            if theta == np.inf:
+                # The standard form is bounded below by 0, so this is numeric dirt.
+                return "no_pivot_row"
+            theta = max(theta, 0.0)
+            if bland:
+                ties = np.flatnonzero(ratios <= theta)
+                pos = int(ties[basis.basis[ties].argmin()])
+            if theta < 1e-12:
+                degenerate += 1
+                if degenerate > degenerate_budget:
+                    bland = True
+            d_aug[n] = -r_j
+            basis.swap(pos, j, d_aug, theta)
+            pivots += 1
+            if pivots % REFACTOR_INTERVAL == 0 or (
+                pivots % RESIDUAL_CHECK == 0 and basis.residual() > RESIDUAL_REFACTOR
+            ):
+                basis.refactor()
+                np.clip(basis.xB, 0.0, None, out=basis.xB)
+                pi[...] = _multipliers(basis, phase)
+    finally:
+        state["pivots"], state["degenerate"], state["bland"] = pivots, degenerate, bland
 
 
 def _drive_out_artificials(basis: _Basis, state: dict) -> None:
     """Pivot basic artificials out where possible; leftovers mark redundant rows."""
+    # A zero last entry leaves pi alone: phase 2 computes its own at its start.
+    d_aug = np.zeros(basis.n + 1)
+    d = d_aug[: basis.n]
+    pivoted = False
     for pos in range(basis.n):
         if basis.basis[pos] < basis.m:
             continue
@@ -287,10 +320,13 @@ def _drive_out_artificials(basis: _Basis, state: dict) -> None:
         j = int(np.argmax(np.abs(vals)))
         if abs(vals[j]) <= PIVOT_TOL:
             continue
-        d = basis.Binv @ basis.A[j]
-        basis.swap(pos, j, d, float(basis.xB[pos] / d[pos]))
+        np.matmul(basis.Binv, basis.A[j], out=d)
+        basis.swap(pos, j, d_aug, float(basis.xB[pos] / d[pos]))
         state["pivots"] += 1
-    basis.refactor()
+        pivoted = True
+    # solve refactored this basis just before; only a pivot makes it stale.
+    if pivoted:
+        basis.refactor()
     np.clip(basis.xB, 0.0, None, out=basis.xB)
 
 

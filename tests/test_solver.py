@@ -59,10 +59,13 @@ class TestInstanceValidation:
             LPInstance(A=np.eye(2), c=np.array([1.0, 0.0, 0.0]))
 
     def test_finite_entries(self):
-        A = np.eye(2)
-        A[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            LPInstance(A=A, c=np.array([1.0, 0.0]))
+        for value in (np.nan, np.inf, -np.inf):
+            for where in ("A", "c"):
+                A = np.eye(2)
+                c = np.array([1.0, 0.0])
+                (A[0] if where == "A" else c)[1] = value
+                with pytest.raises(ValueError, match="finite"):
+                    LPInstance(A=A, c=c)
 
 
 class TestCheckFeasible:
@@ -378,3 +381,204 @@ class TestPivotUpdates:
             if out.status == "optimal":
                 certify_optimal(inst, every)
                 assert abs(every.z_star - out.z_star) <= 1e-12, (dist.kind, seed)
+
+
+# The update rules the solver used before B^-1, x_B and pi became one extended
+# inverse: separate updates of B^-1 and x_B in the basis, and of pi in the
+# phase loop. TestPivotPath pins the shipped solver to them bit for bit.
+
+
+class _SeparateBasis:
+    def __init__(self, A, c):
+        self.A = A
+        self.b = c
+        self.m, self.n = A.shape
+        signs = np.where(c >= 0.0, 1.0, -1.0)
+        self.basis = np.arange(self.m, self.m + self.n)
+        self.Bmat = np.diag(signs)
+        self.Binv = np.diag(signs)
+        self.outer = np.empty((self.n, self.n))
+        self.xB = np.abs(c).astype(float)
+        self.in_basis = np.zeros(self.m + self.n, dtype=bool)
+        self.in_basis[self.basis] = True
+
+    def refactor(self):
+        self.Binv = np.linalg.inv(self.Bmat)
+        self.xB = self.Binv @ self.b
+        return self.residual()
+
+    def residual(self):
+        return float(np.abs(self.Bmat @ self.xB - self.b).max())
+
+    def swap(self, pos, entering, d, theta):
+        leaving = self.basis[pos]
+        self.in_basis[leaving] = False
+        self.in_basis[entering] = True
+        self.basis[pos] = entering
+        self.Bmat[:, pos] = self.A[entering]
+        self.xB -= theta * d
+        self.xB[pos] = theta
+        pivrow = self.Binv[pos] / d[pos]
+        self.Binv -= np.einsum("i,j->ij", d, pivrow, out=self.outer)
+        self.Binv[pos] = pivrow
+
+
+def _separate_run_phase(basis, phase, state):
+    m = basis.m
+    degenerate_budget = solver.DEGENERATE_BUDGET * (m + basis.n)
+    max_pivots = solver.PIVOT_BUDGET * (m + basis.n)
+    refill = solver.WORKING_SET * basis.n
+    in_set = state["in_set"]
+    rows = None
+    A_rows = None
+    if in_set is not None and in_set.any():
+        rows = np.flatnonzero(in_set)
+        A_rows = basis.A[rows]
+    ratios = np.empty(basis.n)
+    pi = solver._multipliers(basis, phase)
+    while True:
+        if state["pivots"] >= max_pivots:
+            return "pivot_budget"
+        j = -1
+        if rows is not None and not state["bland"]:
+            r = solver._price(A_rows, pi, phase)
+            r[basis.in_basis[rows]] = np.inf
+            i = int(r.argmin())
+            if r[i] < -solver.REDUCED_COST_TOL:
+                j = int(rows[i])
+                r_j = float(r[i])
+        if j < 0:
+            pi = solver._multipliers(basis, phase)
+            r = solver._price(basis.A, pi, phase)
+            r[basis.in_basis[:m]] = np.inf
+            if state["bland"]:
+                cand = np.flatnonzero(r < -solver.REDUCED_COST_TOL)
+                if cand.size == 0:
+                    return "optimal"
+                j = int(cand[0])
+            else:
+                j = int(r.argmin())
+                if r[j] >= -solver.REDUCED_COST_TOL:
+                    return "optimal"
+                if in_set is not None:
+                    best = np.argpartition(r, refill)[:refill]
+                    in_set[best[r[best] < -solver.REDUCED_COST_TOL]] = True
+                    rows = np.flatnonzero(in_set)
+                    A_rows = basis.A[rows]
+            r_j = float(r[j])
+        d = basis.Binv @ basis.A[j]
+        pos_mask = d > solver.PIVOT_TOL
+        if not pos_mask.any():
+            return "no_pivot_row"
+        ratios.fill(np.inf)
+        np.divide(basis.xB, d, out=ratios, where=pos_mask)
+        if state["bland"]:
+            theta = max(float(ratios.min()), 0.0)
+            ties = np.flatnonzero(ratios <= theta)
+            pos = int(ties[basis.basis[ties].argmin()])
+        else:
+            pos = int(ratios.argmin())
+            theta = max(float(ratios[pos]), 0.0)
+        if theta < 1e-12:
+            state["degenerate"] += 1
+            if state["degenerate"] > degenerate_budget:
+                state["bland"] = True
+        basis.swap(pos, j, d, theta)
+        state["pivots"] += 1
+        pivots = state["pivots"]
+        if pivots % solver.REFACTOR_INTERVAL == 0 or (
+            pivots % solver.RESIDUAL_CHECK == 0 and basis.residual() > solver.RESIDUAL_REFACTOR
+        ):
+            basis.refactor()
+            np.clip(basis.xB, 0.0, None, out=basis.xB)
+            pi = solver._multipliers(basis, phase)
+        else:
+            pi += r_j * basis.Binv[pos]
+
+
+def _separate_drive_out(basis, state):
+    for pos in range(basis.n):
+        if basis.basis[pos] < basis.m:
+            continue
+        row = basis.Binv[pos]
+        vals = basis.A @ row
+        vals[basis.in_basis[: basis.m]] = 0.0
+        j = int(np.argmax(np.abs(vals)))
+        if abs(vals[j]) <= solver.PIVOT_TOL:
+            continue
+        d = basis.Binv @ basis.A[j]
+        basis.swap(pos, j, d, float(basis.xB[pos] / d[pos]))
+        state["pivots"] += 1
+    basis.refactor()
+    np.clip(basis.xB, 0.0, None, out=basis.xB)
+
+
+_PIN_CASES = [
+    pytest.param(dist, m, n, cost, "optimal", id=f"{dist.kind}-{cost.kind}-{m}x{n}")
+    for dist in ENTRY_LAWS
+    for cost in COST_KINDS
+    for m, n in ((1000, 50), (3000, 20))
+] + [
+    pytest.param(ENTRY_LAWS[1], 20000, 50, COST_KINDS[0], "optimal", id="rademacher-20000x50"),
+    pytest.param(ENTRY_LAWS[1], 6000, 150, COST_KINDS[0], "optimal", id="rademacher-6000x150"),
+    # WORKING_SET * n >= m: the working set never forms.
+    pytest.param(ENTRY_LAWS[0], 60, 40, COST_KINDS[0], "unbounded", id="no-working-set-60x40"),
+    pytest.param(ENTRY_LAWS[0], 80, 40, COST_KINDS[0], "optimal", id="no-working-set-80x40"),
+]
+
+
+class TestPivotPath:
+    """The extended inverse chooses every pivot the separate updates chose and
+    returns the same outcome, bit for bit."""
+
+    @staticmethod
+    def run(monkeypatch, inst, separate):
+        """Solve inst and record each pivot's (position, entering column)."""
+        path = []
+        with monkeypatch.context() as patch:
+            if separate:
+                patch.setattr(solver, "_Basis", _SeparateBasis)
+                patch.setattr(solver, "_run_phase", _separate_run_phase)
+                patch.setattr(solver, "_drive_out_artificials", _separate_drive_out)
+            swap = solver._Basis.swap
+
+            def recording_swap(basis, pos, entering, *rest):
+                path.append((int(pos), int(entering)))
+                return swap(basis, pos, entering, *rest)
+
+            patch.setattr(solver._Basis, "swap", recording_swap)
+            out = solve(inst)
+        arrays = tuple(None if a is None else a.tobytes() for a in (out.x_star, out.y_star, out.ray))
+        return (out.status, out.pivots, out.z_star, out.message) + arrays, path
+
+    def assert_pinned(self, monkeypatch, inst):
+        shipped, shipped_path = self.run(monkeypatch, inst, separate=False)
+        separate, separate_path = self.run(monkeypatch, inst, separate=True)
+        assert shipped_path == separate_path
+        assert shipped == separate
+        return shipped
+
+    @pytest.mark.parametrize("dist, m, n, cost, status", _PIN_CASES)
+    def test_matches_separate_updates(self, monkeypatch, dist, m, n, cost, status):
+        outcome = self.assert_pinned(monkeypatch, sample_instance(dist, m, n, 0, cost))
+        assert outcome[0] == status
+
+    def test_unbounded(self, monkeypatch):
+        inst = sample_instance(EntryDistribution.gaussian(), 3000, 20, 7)
+        A = inst.A * np.where(inst.A @ inst.c > 0.0, -1.0, 1.0)[:, None]
+        outcome = self.assert_pinned(monkeypatch, LPInstance(A=A, c=inst.c))
+        assert outcome[0] == "unbounded"
+
+    def test_bland_rule(self, monkeypatch):
+        monkeypatch.setattr(solver, "DEGENERATE_BUDGET", 0)
+        bland = []
+        run_phase = solver._run_phase
+
+        def spy(basis, phase, state):
+            tag = run_phase(basis, phase, state)
+            bland.append(state["bland"])
+            return tag
+
+        monkeypatch.setattr(solver, "_run_phase", spy)
+        outcome = self.assert_pinned(monkeypatch, sample_instance(EntryDistribution.rademacher(), 4000, 20, 0))
+        assert outcome[0] == "optimal" and bland[-1]

@@ -121,8 +121,8 @@ def _replicate_tasks(
     config: ExperimentConfig, arms: Optional[List[Tuple[Optional[str], CostVectorKind]]] = None
 ) -> List[Tuple]:
     """One (config, grid_index, replicate_index, arm) task per grid point, arm
-    and replicate, ordered deterministically. An arm is (label, cost kind);
-    the default is the configured cost, unlabelled."""
+    and replicate, ordered by grid point, then arm, then replicate. An arm is
+    (label, cost kind); the default is the configured cost, unlabelled."""
     arms = arms if arms is not None else [(None, config.cost_kind)]
     return [(config, g, j, arm) for g in range(len(config.grid)) for arm in arms for j in range(config.sample_size)]
 
@@ -166,20 +166,20 @@ def _restore_task(task: Tuple) -> Tuple[dict, RunRecord]:
     return row, rec
 
 
-def _solve_campaign_records(config: ExperimentConfig, arms: Optional[List[Tuple[str, CostVectorKind]]] = None) -> List[RunRecord]:
-    """Run one solve per (grid point, arm, replicate).
+def _solve_campaign_records(config: ExperimentConfig, arms: Optional[List[Tuple[str, CostVectorKind]]] = None) -> List[List[RunRecord]]:
+    """Run one solve per (grid point, arm, replicate); return the records of
+    each (grid point, arm) as one run of sample_size, in task order.
 
     Arms share the per-replicate matrix streams, so a cost-vector sweep is a
     paired comparison on identical matrices.
     """
-    return _map_tasks(_solve_task, _replicate_tasks(config, arms), config.workers)
+    records = _map_tasks(_solve_task, _replicate_tasks(config, arms), config.workers)
+    k = config.sample_size
+    return [records[i : i + k] for i in range(0, len(records), k)]
 
 
-def _grouped(records: List[RunRecord], key_fn) -> Dict:
-    groups: Dict = {}
-    for rec in records:
-        groups.setdefault(key_fn(rec), []).append(rec)
-    return groups
+def _concat(runs: List[List[RunRecord]]) -> List[RunRecord]:
+    return [rec for run in runs for rec in run]
 
 
 def _optimal_values(records: List[RunRecord]) -> List[float]:
@@ -187,16 +187,14 @@ def _optimal_values(records: List[RunRecord]) -> List[float]:
 
 
 def _grid_table(config: ExperimentConfig, row_stats) -> CampaignResult:
-    """Solve the grid and build one row per point: m, n, ab, then
-    row_stats(m, ab, optimal values) of the point's replicates."""
-    records = _solve_campaign_records(config)
-    groups = _grouped(records, lambda r: (r.m, r.n))
+    """Solve the grid and build one row per grid entry: m, n, ab, then
+    row_stats(m, ab, optimal values) of that entry's own replicates."""
+    runs = _solve_campaign_records(config)
     rows = []
-    for (m, n) in config.grid:
-        values = _optimal_values(groups.get((m, n), []))
+    for (m, n), run in zip(config.grid, runs):
         ab = asymptotic_bound(m, n)
-        rows.append({"m": m, "n": n, "ab": ab, **row_stats(m, ab, values)})
-    return CampaignResult(rows=rows, records=records)
+        rows.append({"m": m, "n": n, "ab": ab, **row_stats(m, ab, _optimal_values(run))})
+    return CampaignResult(rows=rows, records=_concat(runs))
 
 
 def _mean_stats(m: int, ab: float, values: List[float]) -> dict:
@@ -227,17 +225,16 @@ def run_sparse_cost_table(config: ExperimentConfig) -> CampaignResult:
 
     k = 0 in the output denotes the baseline row.
     """
-    arms: List[Tuple[str, CostVectorKind]] = [("baseline", config.cost_kind)]
-    for k in config.k_values:
-        arms.append((f"k={k}", CostVectorKind.k_spike(k)))
-    records = _solve_campaign_records(config, arms=arms)
-    groups = _grouped(records, lambda r: r.arm)
-    baseline_values = _optimal_values(groups.get("baseline", []))
+    arms = [("baseline", config.cost_kind)] + [(f"k={k}", CostVectorKind.k_spike(k)) for k in config.k_values]
+    runs = _solve_campaign_records(config, arms=arms)
+    # Runs go grid point by grid point, arm by arm, so arm a pools every
+    # grid point's run a.
+    arm_values = [_optimal_values(_concat(runs[a :: len(arms)])) for a in range(len(arms))]
+    baseline_values = arm_values[0]
     mu_base = float(np.mean(baseline_values)) if baseline_values else float("nan")
     supplied = config.baseline_mu
     rows = [{"k": 0, "mu_hat": mu_base, "relative_gap_pct": 0.0}]
-    for k in config.k_values:
-        values = _optimal_values(groups.get(f"k={k}", []))
+    for k, values in zip(config.k_values, arm_values[1:]):
         mu = float(np.mean(values)) if values else float("nan")
         gap = relative_gap(mu_base, mu) if values and baseline_values else float("nan")
         rows.append({"k": k, "mu_hat": mu, "relative_gap_pct": gap})
@@ -247,7 +244,7 @@ def run_sparse_cost_table(config: ExperimentConfig) -> CampaignResult:
             row["relative_gap_vs_supplied_pct"] = (
                 relative_gap(supplied, mu) if math.isfinite(mu) else float("nan")
             )
-    return CampaignResult(rows=rows, records=records)
+    return CampaignResult(rows=rows, records=_concat(runs))
 
 
 _HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "count")
@@ -255,7 +252,7 @@ _HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "count")
 
 def run_distribution_study(config: ExperimentConfig) -> CampaignResult:
     """Histogram, ECDF, and normal goodness-of-fit of the objective ensemble."""
-    records = _solve_campaign_records(config)
+    records = _concat(_solve_campaign_records(config))
     values = _optimal_values(records)
     ks_payload: dict
     try:

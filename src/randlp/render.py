@@ -13,17 +13,15 @@ _W, _H = 640, 400
 _MARGIN = 50
 
 
-def _header() -> List[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_W - _MARGIN}" y2="{_H - _MARGIN}" stroke="black"/>',
-        f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{_H - _MARGIN}" stroke="black"/>',
+def _range_labels(lo: float, hi: float, top: str) -> List[str]:
+    """Labels for the x range at the ends of the x axis and the value at the
+    top of the y axis."""
+    places = [
+        (_MARGIN, _H - _MARGIN + 16, f"{lo:.6g}"),
+        (_W - _MARGIN - 60, _H - _MARGIN + 16, f"{hi:.6g}"),
+        (4, _MARGIN, top),
     ]
-
-
-def _label(x: float, y: float, text: str) -> str:
-    return f'<text x="{x}" y="{y}" font-size="12" font-family="monospace">{text}</text>'
+    return [f'<text x="{x}" y="{y}" font-size="12" font-family="monospace">{text}</text>' for x, y, text in places]
 
 
 def _scale(v: float, lo: float, hi: float, out_lo: float, out_hi: float) -> float:
@@ -31,9 +29,23 @@ def _scale(v: float, lo: float, hi: float, out_lo: float, out_hi: float) -> floa
     return out_lo + (v - lo) / span * (out_hi - out_lo)
 
 
+def _write_svg(path: str, marks: List[str]) -> None:
+    """Write the canvas and axes with the given marks on top."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_W - _MARGIN}" y2="{_H - _MARGIN}" stroke="black"/>',
+        f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{_H - _MARGIN}" stroke="black"/>',
+        *marks,
+        "</svg>",
+    ]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
 def svg_histogram(bins: Sequence[Tuple[float, float, int]], path: str) -> None:
     """Write bars for (bin_left, bin_right, count) triples."""
-    parts = _header()
+    marks = []
     if bins:
         lo = bins[0][0]
         hi = bins[-1][1]
@@ -42,21 +54,17 @@ def svg_histogram(bins: Sequence[Tuple[float, float, int]], path: str) -> None:
             x0 = _scale(left, lo, hi, _MARGIN, _W - _MARGIN)
             x1 = _scale(right, lo, hi, _MARGIN, _W - _MARGIN)
             h = (count / top) * (_H - 2 * _MARGIN)
-            parts.append(
+            marks.append(
                 f'<rect x="{x0:.2f}" y="{_H - _MARGIN - h:.2f}" width="{max(x1 - x0, 0.0):.2f}" '
                 f'height="{h:.2f}" fill="steelblue" stroke="black" stroke-width="0.5"/>'
             )
-        parts.append(_label(_MARGIN, _H - _MARGIN + 16, f"{lo:.6g}"))
-        parts.append(_label(_W - _MARGIN - 60, _H - _MARGIN + 16, f"{hi:.6g}"))
-        parts.append(_label(4, _MARGIN, str(top)))
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+        marks += _range_labels(lo, hi, str(top))
+    _write_svg(path, marks)
 
 
 def svg_steps(points: Sequence[Tuple[float, float]], path: str) -> None:
     """Write a right-continuous step plot for (x, value) pairs in [0, 1]."""
-    parts = _header()
+    marks = []
     if points:
         lo = points[0][0]
         hi = points[-1][0]
@@ -69,10 +77,6 @@ def svg_steps(points: Sequence[Tuple[float, float]], path: str) -> None:
             coords.append(f"{px:.2f},{py_prev:.2f}")
             coords.append(f"{px:.2f},{py:.2f}")
             prev = v
-        parts.append(f'<polyline points="{" ".join(coords)}" fill="none" stroke="steelblue"/>')
-        parts.append(_label(_MARGIN, _H - _MARGIN + 16, f"{lo:.6g}"))
-        parts.append(_label(_W - _MARGIN - 60, _H - _MARGIN + 16, f"{hi:.6g}"))
-        parts.append(_label(4, _MARGIN, "1.0"))
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+        marks.append(f'<polyline points="{" ".join(coords)}" fill="none" stroke="steelblue"/>')
+        marks += _range_labels(lo, hi, "1.0")
+    _write_svg(path, marks)

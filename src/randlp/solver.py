@@ -169,11 +169,10 @@ class _Basis:
         self.in_basis = np.zeros(self.m + n, dtype=bool)
         self.in_basis[self.basis] = True
 
-    def refactor(self) -> float:
-        """Rebuild the inverse and basic values from scratch; return residual."""
+    def refactor(self) -> None:
+        """Rebuild the inverse and basic values from scratch."""
         self.Binv[...] = np.linalg.inv(self.Bmat)
         self.xB[...] = self.Binv @ self.b
-        return self.residual()
 
     def residual(self) -> float:
         return float(np.abs(self.Bmat @ self.xB - self.b).max())

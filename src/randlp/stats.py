@@ -127,18 +127,13 @@ def ks_test(samples: Sequence[float]) -> KSResult:
     return KSResult(statistic=D, p_value=kolmogorov_p(D, n), n_samples=n)
 
 
-def histogram(samples: Sequence[float], n_bins: int = 0) -> List[Tuple[float, float, int]]:
-    """Equal-width bins spanning [min, max]; rightmost bin closed.
-
-    n_bins of 0 requests the default ceil(log2 N) + 1.
-    """
+def histogram(samples: Sequence[float]) -> List[Tuple[float, float, int]]:
+    """ceil(log2 N) + 1 equal-width bins spanning [min, max] (one bin for a
+    single sample); rightmost bin closed."""
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise ValueError("empty sample")
-    if n_bins == 0:
-        n_bins = int(math.ceil(math.log2(arr.size))) + 1 if arr.size > 1 else 1
-    if n_bins < 1:
-        raise ValueError("need at least one bin")
+    n_bins = int(math.ceil(math.log2(arr.size))) + 1 if arr.size > 1 else 1
     counts, edges = np.histogram(arr, bins=n_bins)
     return [(float(edges[k]), float(edges[k + 1]), int(counts[k])) for k in range(n_bins)]
 

@@ -38,7 +38,7 @@ from randlp.harness import (
 from randlp.restore import IterationRecord, RestoreTrace
 from randlp.sampling import CostVectorKind, SeedSpec, sample_cost_vector, sample_matrix
 from randlp.solver import LPInstance, SolveOutcome, solve
-from randlp.stats import asymptotic_bound, relative_gap, tail_probability_mc
+from randlp.stats import asymptotic_bound, relative_gap, summarize, tail_probability_mc
 
 
 def make_config(**over):
@@ -250,6 +250,26 @@ class TestTableRunners:
         for row in result.rows:
             assert row["sigma_hat"] > 0.0
             assert_allclose(row["sigma_sqrt_m"], row["sigma_hat"] * math.sqrt(row["m"]), rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "runner, column, statistic",
+        [
+            (run_objective_table, "mu_hat", lambda values: float(np.mean(values))),
+            (run_stddev_table, "sigma_hat", lambda values: summarize(values).std),
+        ],
+        ids=["ObjectiveTable", "StdDevTable"],
+    )
+    def test_repeated_grid_entry_reads_its_own_replicates(self, runner, column, statistic):
+        # A point listed twice gets one row per entry, each from that entry's
+        # own streams, not two copies of a row pooled over both entries.
+        cfg = make_config(grid=[[200, 10], [200, 10]], sample_size=3, master_seed=0)
+        result = runner(cfg)
+        assert len(result.rows) == 2
+        for g, row in enumerate(result.rows):
+            own = [rec for rec in result.records if rec.stream_index == stream_index(g, rec.replicate_index, LANE_MATRIX)]
+            assert len(own) == 3
+            assert row[column] == statistic([rec.z_star for rec in own])
+        assert result.rows[0][column] != result.rows[1][column]
 
     def test_sparse_cost_rows_and_pairing(self):
         cfg = make_config(experiment="SparseCostTable", grid=[[40, 6]], k_values=[1, 2])

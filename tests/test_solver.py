@@ -18,6 +18,7 @@ SQRT2 = math.sqrt(2.0)
 
 ENTRY_LAWS = (EntryDistribution.gaussian(), EntryDistribution.rademacher(), EntryDistribution.bernoulli_normal())
 COST_KINDS = (CostVectorKind.rescaled_rademacher(), CostVectorKind.uniform_sphere(), CostVectorKind.k_spike(1))
+HIGHS_COST_KINDS = (CostVectorKind.rescaled_rademacher(), CostVectorKind.uniform_sphere(), CostVectorKind.k_spike(3))
 
 
 def certify_optimal(inst: LPInstance, out) -> None:
@@ -45,6 +46,13 @@ def certify_unbounded(inst: LPInstance, out) -> None:
     assert out.status == "unbounded"
     assert float(np.max(inst.A @ out.ray)) <= 1e-9
     assert float(np.dot(inst.c, out.ray)) >= 1.0 - 1e-9
+
+
+def reflected(inst: LPInstance) -> LPInstance:
+    """Reflect every row with <a_i, c> > 0. That leaves c outside the cone of
+    the rows, so the program is unbounded along c."""
+    A = inst.A * np.where(inst.A @ inst.c > 0.0, -1.0, 1.0)[:, None]
+    return LPInstance(A=A, c=inst.c)
 
 
 class TestInstanceValidation:
@@ -245,13 +253,29 @@ class TestWorkingSetPricing:
             assert abs(out.z_star - full.z_star) <= 1e-12, (dist.kind, cost.kind, seed)
 
     def test_tall_unbounded_ray(self, monkeypatch):
-        # Reflecting every row with <a_i, c> > 0 leaves c outside the cone of
-        # the rows, so the program is unbounded along c.
-        inst = sample_instance(EntryDistribution.gaussian(), 3000, 20, 7)
-        A = inst.A * np.where(inst.A @ inst.c > 0.0, -1.0, 1.0)[:, None]
-        inst = LPInstance(A=A, c=inst.c)
+        inst = reflected(sample_instance(EntryDistribution.gaussian(), 3000, 20, 7))
         certify_unbounded(inst, solve_full_pricing(monkeypatch, inst))
         certify_unbounded(inst, solve(inst))
+
+    def test_tall_unbounded_ray_after_working_set_pivots(self, monkeypatch):
+        # With a rescaled-rademacher cost, phase 1's starting multipliers
+        # sign(c) are parallel to c and a reflected instance certifies its ray
+        # after 0 pivots. A uniform-sphere cost is not, so this one pivots, over
+        # the working set, before it finds the ray.
+        inst = reflected(sample_instance(EntryDistribution.gaussian(), 3000, 20, 0, CostVectorKind.uniform_sphere()))
+        certify_unbounded(inst, solve_full_pricing(monkeypatch, inst))
+        priced = []
+        price = solver._price
+
+        def spy(rows, pi, phase):
+            priced.append(rows.shape[0])
+            return price(rows, pi, phase)
+
+        monkeypatch.setattr(solver, "_price", spy)
+        out = solve(inst)
+        certify_unbounded(inst, out)
+        assert out.pivots > 0
+        assert min(priced) < inst.m
 
     def test_bland_rule_under_working_set(self, monkeypatch):
         # A zero budget engages Bland's rule at the first degenerate pivot;
@@ -280,24 +304,39 @@ class TestWorkingSetPricing:
 class TestHighsAgreement:
     """Differential check against HiGHS at the sizes the campaigns solve."""
 
-    @pytest.mark.parametrize(
-        "dist, m, n",
-        [
-            (EntryDistribution.rademacher(), 20000, 50),
-            (EntryDistribution.rademacher(), 6000, 150),
-            (EntryDistribution.gaussian(), 1000, 50),
-            (EntryDistribution.bernoulli_normal(), 5000, 30),
-        ],
-        ids=["rademacher-20000x50", "rademacher-6000x150", "gaussian-1000x50", "bernoulli_normal-5000x30"],
-    )
-    def test_z_star_matches_highs(self, dist, m, n):
+    @staticmethod
+    def highs(inst: LPInstance):
         linprog = pytest.importorskip("scipy.optimize").linprog
-        inst = sample_instance(dist, m, n, 0)
+        return linprog(-inst.c, A_ub=inst.A, b_ub=np.ones(inst.m), bounds=(None, None), method="highs")
+
+    @pytest.mark.parametrize(
+        "dist, m, n, cost",
+        [
+            (EntryDistribution.rademacher(), 20000, 50, CostVectorKind.rescaled_rademacher()),
+            (EntryDistribution.rademacher(), 6000, 150, CostVectorKind.rescaled_rademacher()),
+            (EntryDistribution.gaussian(), 1000, 50, CostVectorKind.rescaled_rademacher()),
+            (EntryDistribution.bernoulli_normal(), 5000, 30, CostVectorKind.rescaled_rademacher()),
+        ]
+        + [(dist, 2000, 40, cost) for dist in ENTRY_LAWS for cost in HIGHS_COST_KINDS],
+        ids=["rademacher-20000x50", "rademacher-6000x150", "gaussian-1000x50", "bernoulli_normal-5000x30"]
+        + [f"{dist.kind}-{cost.kind}-2000x40" for dist in ENTRY_LAWS for cost in HIGHS_COST_KINDS],
+    )
+    def test_z_star_matches_highs(self, dist, m, n, cost):
+        inst = sample_instance(dist, m, n, 0, cost)
+        ref = self.highs(inst)
         out = solve(inst)
-        ref = linprog(-inst.c, A_ub=inst.A, b_ub=np.ones(m), bounds=(None, None), method="highs")
         assert ref.status == 0, ref.message
         certify_optimal(inst, out)
         assert abs(out.z_star + ref.fun) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unbounded_matches_highs(self, seed):
+        inst = reflected(sample_instance(EntryDistribution.gaussian(), 3000, 20, seed, CostVectorKind.uniform_sphere()))
+        ref = self.highs(inst)
+        out = solve(inst)
+        assert ref.status == 3, ref.message
+        certify_unbounded(inst, out)
+        assert out.pivots > 0
 
 
 class TestPivotUpdates:

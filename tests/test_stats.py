@@ -155,7 +155,7 @@ class TestKsTest:
 
 class TestHistogramEcdf:
     def test_two_bins(self):
-        assert histogram([0.0, 1.0], 2) == [(0.0, 0.5, 1), (0.5, 1.0, 1)]
+        assert histogram([0.0, 1.0]) == [(0.0, 0.5, 1), (0.5, 1.0, 1)]
 
     def test_default_bin_count(self):
         bins = histogram(list(range(1000)))
@@ -165,7 +165,8 @@ class TestHistogramEcdf:
         gen = np.random.default_rng(12)
         for _ in range(10):
             x = gen.standard_normal(int(gen.integers(1, 400)))
-            bins = histogram(x, 7)
+            bins = histogram(x)
+            assert len(bins) == (math.ceil(math.log2(x.size)) + 1 if x.size > 1 else 1)
             assert sum(b[2] for b in bins) == x.size
 
     def test_empty_rejected(self):

@@ -109,22 +109,29 @@ def sample_instance(
     """Draw replicate replicate_index of the campaign's grid point grid_index:
     its (A, c). Under FixedAcrossReplicates all replicates of a grid point
     share replicate 0's cost vector."""
-    m, n = config.grid[grid_index]
-    seed = config.master_seed
-    A = sample_matrix(config.dist, m, n, SeedSpec(seed, stream_index(grid_index, replicate_index, LANE_MATRIX)))
-    cost_replicate = 0 if config.cost_policy == "FixedAcrossReplicates" else replicate_index
-    c = sample_cost_vector(cost_kind, n, SeedSpec(seed, stream_index(grid_index, cost_replicate, LANE_COST)))
-    return A, c
+    A = _sample_matrix(config, grid_index, replicate_index)
+    return A, _sample_cost(config, grid_index, replicate_index, cost_kind)
+
+
+def _sample_matrix(config: ExperimentConfig, g: int, j: int) -> np.ndarray:
+    m, n = config.grid[g]
+    return sample_matrix(config.dist, m, n, SeedSpec(config.master_seed, stream_index(g, j, LANE_MATRIX)))
+
+
+def _sample_cost(config: ExperimentConfig, g: int, j: int, cost_kind: CostVectorKind) -> np.ndarray:
+    n = config.grid[g][1]
+    cost_replicate = 0 if config.cost_policy == "FixedAcrossReplicates" else j
+    return sample_cost_vector(cost_kind, n, SeedSpec(config.master_seed, stream_index(g, cost_replicate, LANE_COST)))
 
 
 def _replicate_tasks(
     config: ExperimentConfig, arms: Optional[List[Tuple[Optional[str], CostVectorKind]]] = None
 ) -> List[Tuple]:
-    """One (config, grid_index, replicate_index, arm) task per grid point, arm
-    and replicate, ordered by grid point, then arm, then replicate. An arm is
-    (label, cost kind); the default is the configured cost, unlabelled."""
+    """One (config, grid_index, replicate_index, arms) task per grid point and
+    replicate, ordered by grid point, then replicate. An arm is (label, cost
+    kind); the default is the configured cost, unlabelled."""
     arms = arms if arms is not None else [(None, config.cost_kind)]
-    return [(config, g, j, arm) for g in range(len(config.grid)) for arm in arms for j in range(config.sample_size)]
+    return [(config, g, j, arms) for g in range(len(config.grid)) for j in range(config.sample_size)]
 
 
 def _replicate_record(config: ExperimentConfig, grid_index: int, replicate_index: int, **fields) -> RunRecord:
@@ -133,23 +140,31 @@ def _replicate_record(config: ExperimentConfig, grid_index: int, replicate_index
     return RunRecord(m=m, n=n, replicate_index=replicate_index, stream_index=mat_stream, **fields)
 
 
-def _solve_task(task: Tuple) -> RunRecord:
-    config, g, j, (label, cost_kind) = task
-    A, c = sample_instance(config, g, j, cost_kind)
-    t0 = time.perf_counter()
-    outcome = solve(LPInstance(A, c))
-    wall = time.perf_counter() - t0
-    optimal = outcome.status == "optimal"
-    return _replicate_record(
-        config, g, j, z_star=outcome.z_star if optimal else None, pivots=outcome.pivots, wall_time=wall,
-        status=outcome.status, error=None if optimal else (outcome.message or outcome.status), arm=label,
-    )
+def _solve_task(task: Tuple) -> List[RunRecord]:
+    """Solve every arm on one replicate's matrix, drawn once: one record per arm."""
+    config, g, j, arms = task
+    A = _sample_matrix(config, g, j)
+    records = []
+    for label, cost_kind in arms:
+        c = _sample_cost(config, g, j, cost_kind)
+        t0 = time.perf_counter()
+        outcome = solve(LPInstance(A, c))
+        wall = time.perf_counter() - t0
+        optimal = outcome.status == "optimal"
+        error = None if optimal else (outcome.message or outcome.status)
+        records.append(
+            _replicate_record(
+                config, g, j, z_star=outcome.z_star if optimal else None, pivots=outcome.pivots, wall_time=wall,
+                status=outcome.status, error=error, arm=label,
+            )
+        )
+    return records
 
 
 def _restore_task(task: Tuple) -> Tuple[dict, RunRecord]:
     """One replicate's feasibility restoration: its (row, record)."""
-    config, g, j, (_, cost_kind) = task
-    A, c = sample_instance(config, g, j, cost_kind)
+    config, g, j, _ = task
+    A, c = sample_instance(config, g, j, config.cost_kind)
     t0 = time.perf_counter()
     trace = restore(A, c, config.restore)
     wall = time.perf_counter() - t0
@@ -168,14 +183,20 @@ def _restore_task(task: Tuple) -> Tuple[dict, RunRecord]:
 
 def _solve_campaign_records(config: ExperimentConfig, arms: Optional[List[Tuple[str, CostVectorKind]]] = None) -> List[List[RunRecord]]:
     """Run one solve per (grid point, arm, replicate); return the records of
-    each (grid point, arm) as one run of sample_size, in task order.
+    each (grid point, arm) as one run of sample_size, ordered by grid point,
+    then arm.
 
     Arms share the per-replicate matrix streams, so a cost-vector sweep is a
-    paired comparison on identical matrices.
+    paired comparison on identical matrices, each drawn once.
     """
-    records = _map_tasks(_solve_task, _replicate_tasks(config, arms), config.workers)
+    per_task = _map_tasks(_solve_task, _replicate_tasks(config, arms), config.workers)
     k = config.sample_size
-    return [records[i : i + k] for i in range(0, len(records), k)]
+    # A task holds one replicate's record for every arm.
+    return [
+        [records[a] for records in per_task[i : i + k]]
+        for i in range(0, len(per_task), k)
+        for a in range(len(per_task[i]))
+    ]
 
 
 def _concat(runs: List[List[RunRecord]]) -> List[RunRecord]:

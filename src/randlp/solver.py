@@ -31,9 +31,21 @@ ftran extended by minus its reduced cost, so pi moves by that reduced cost
 times the new pivot row of B^-1. The multipliers are recomputed from B^-1
 before every full pass and after every refactor, so optimality and Bland's
 smallest index are only ever decided on freshly computed multipliers. The
-basis inverse is refreshed from scratch every REFACTOR_INTERVAL pivots, and
-whenever the basic residual, checked every RESIDUAL_CHECK pivots, has
-drifted.
+basis inverse is refreshed from scratch whenever the basic residual, checked
+every RESIDUAL_CHECK pivots, has drifted past RESIDUAL_REFACTOR, and at the
+end of each phase.
+
+Phase 1 runs on a perturbed right-hand side c + PERTURB * s * u, with s the
+signs of the artificial columns and u_i = frac(i * 0.618...) for i = 1..n, a
+fixed sequence that draws nothing (Wolfe's remedy for degeneracy). Phase 1
+then starts at x_B = |c| + PERTURB * u, whose entries are distinct and
+positive, so the equal entries of a rademacher cost no longer leave its
+ratio tests to be decided by rounding, and the zero entries of a spike cost
+no longer walk it through long runs of zero steps. Steps across the broken
+ties are of order PERTURB and still count as degenerate. The perturbation
+only chooses the basis phase 1 ends on: that basis is refactored against
+the true c before the phase-1 objective is judged, and the unbounded ray,
+phase 2 and every certificate use the true c.
 """
 
 from __future__ import annotations
@@ -44,6 +56,8 @@ from typing import Optional
 import numpy as np
 
 FEAS_TOL = 1e-9
+# Size of phase 1's right-hand-side perturbation; c has unit norm.
+PERTURB = 1e-11
 PIVOT_TOL = 1e-9
 REDUCED_COST_TOL = 1e-9
 
@@ -52,7 +66,6 @@ DUAL_RESIDUAL_TOL = 1e-7
 DUALITY_GAP_TOL = 1e-7
 Y_NEGATIVITY_TOL = 1e-12
 
-REFACTOR_INTERVAL = 100
 # Pivots between checks of the basic residual against RESIDUAL_REFACTOR.
 RESIDUAL_CHECK = 10
 # Degenerate pivots allowed per (m + n) before Bland's rule takes over.
@@ -294,9 +307,7 @@ def _run_phase(basis: _Basis, phase: int, state: dict) -> str:
             d_aug[n] = -r_j
             basis.swap(pos, j, d_aug, theta)
             pivots += 1
-            if pivots % REFACTOR_INTERVAL == 0 or (
-                pivots % RESIDUAL_CHECK == 0 and basis.residual() > RESIDUAL_REFACTOR
-            ):
+            if pivots % RESIDUAL_CHECK == 0 and basis.residual() > RESIDUAL_REFACTOR:
                 basis.refactor()
                 np.clip(basis.xB, 0.0, None, out=basis.xB)
                 pi[...] = _multipliers(basis, phase)
@@ -385,13 +396,16 @@ def solve(inst: LPInstance) -> SolveOutcome:
     comes back as status "numerical_failure" with a diagnostic message.
     """
     m, n = inst.m, inst.n
-    basis = _Basis(inst.A, inst.c)
+    signs = np.where(inst.c >= 0.0, 1.0, -1.0)
+    u = np.modf(np.arange(1, n + 1) * 0.6180339887498949)[0]
+    basis = _Basis(inst.A, inst.c + PERTURB * signs * u)
     in_set = np.zeros(m, dtype=bool) if WORKING_SET * n < m else None
     state = {"pivots": 0, "degenerate": 0, "bland": False, "in_set": in_set}
 
     tag = _run_phase(basis, 1, state)
     if tag != "optimal":
         return SolveOutcome(status="numerical_failure", pivots=state["pivots"], message=f"phase 1: {tag}")
+    basis.b = inst.c
     basis.refactor()
     phase1_objective = float(np.sum(basis.xB[basis.basis >= m]))
     if phase1_objective > FEAS_TOL * max(1.0, float(np.linalg.norm(inst.c))):

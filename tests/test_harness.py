@@ -285,6 +285,21 @@ class TestTableRunners:
             streams.setdefault(rec.arm, []).append(rec.stream_index)
         assert streams["baseline"] == streams["k=1"] == streams["k=2"]
 
+    def test_sparse_cost_draws_each_matrix_once(self, monkeypatch):
+        drawn = []
+
+        def spy(dist, m, n, seed):
+            drawn.append(seed.stream_index)
+            return sample_matrix(dist, m, n, seed)
+
+        monkeypatch.setattr(harness, "sample_matrix", spy)
+        cfg = make_config(experiment="SparseCostTable", grid=[[40, 6]], k_values=[1, 2])
+        result = run_sparse_cost_table(cfg)
+        assert drawn == [stream_index(0, j, LANE_MATRIX) for j in range(3)]
+        # Records still come grid point by grid point, arm by arm.
+        arms = [(rec.arm, rec.replicate_index) for rec in result.records]
+        assert arms == [(arm, j) for arm in ("baseline", "k=1", "k=2") for j in range(3)]
+
     def test_sparse_cost_arm_rederives_bitwise(self):
         cfg = make_config(experiment="SparseCostTable", grid=[[40, 6]], k_values=[1])
         result = run_sparse_cost_table(cfg)

@@ -4,6 +4,10 @@ Tests for the two-phase simplex and its brute-force cross-check.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,8 +282,10 @@ class TestWorkingSetPricing:
         assert min(priced) < inst.m
 
     def test_bland_rule_under_working_set(self, monkeypatch):
-        # A zero budget engages Bland's rule at the first degenerate pivot;
-        # rademacher sign ties make degenerate pivots certain.
+        # A zero budget engages Bland's rule at the first degenerate pivot.
+        # Phase 1's perturbation breaks the rademacher sign ties only at its
+        # own scale, PERTURB, so the steps between tied basic values stay
+        # below the 1e-12 that counts a pivot as degenerate.
         engaged = []
         run_phase = solver._run_phase
 
@@ -316,9 +322,20 @@ class TestHighsAgreement:
             (EntryDistribution.rademacher(), 6000, 150, CostVectorKind.rescaled_rademacher()),
             (EntryDistribution.gaussian(), 1000, 50, CostVectorKind.rescaled_rademacher()),
             (EntryDistribution.bernoulli_normal(), 5000, 30, CostVectorKind.rescaled_rademacher()),
+            # Spike costs at the sizes where phase 1 stalled on their zero
+            # entries before its right-hand side was perturbed.
+            (EntryDistribution.gaussian(), 6000, 150, CostVectorKind.k_spike(1)),
+            (EntryDistribution.rademacher(), 20000, 50, CostVectorKind.k_spike(3)),
         ]
         + [(dist, 2000, 40, cost) for dist in ENTRY_LAWS for cost in HIGHS_COST_KINDS],
-        ids=["rademacher-20000x50", "rademacher-6000x150", "gaussian-1000x50", "bernoulli_normal-5000x30"]
+        ids=[
+            "rademacher-20000x50",
+            "rademacher-6000x150",
+            "gaussian-1000x50",
+            "bernoulli_normal-5000x30",
+            "gaussian-k_spike-6000x150",
+            "rademacher-k_spike-20000x50",
+        ]
         + [f"{dist.kind}-{cost.kind}-2000x40" for dist in ENTRY_LAWS for cost in HIGHS_COST_KINDS],
     )
     def test_z_star_matches_highs(self, dist, m, n, cost):
@@ -337,6 +354,58 @@ class TestHighsAgreement:
         assert ref.status == 3, ref.message
         certify_unbounded(inst, out)
         assert out.pivots > 0
+
+
+class TestPerturbedPhaseOne:
+    """Phase 1 runs on c + PERTURB * s * u, which breaks the ties of sign
+    and spike costs and leaves other instances on their unperturbed path."""
+
+    def test_spike_cost_needs_no_degenerate_walk(self):
+        # A 1-spike cost leaves n - 1 basic values at exactly 0 in an
+        # unperturbed phase 1, which then took 6389 pivots here.
+        inst = sample_instance(EntryDistribution.gaussian(), 2000, 100, 0, CostVectorKind.k_spike(1))
+        out = solve(inst)
+        certify_optimal(inst, out)
+        assert out.pivots < 2000
+
+    @pytest.mark.parametrize(
+        "dist, m, n",
+        [(EntryDistribution.gaussian(), 1000, 50), (EntryDistribution.bernoulli_normal(), 5000, 30)],
+        ids=["gaussian-1000x50", "bernoulli_normal-5000x30"],
+    )
+    @pytest.mark.parametrize("cost", [CostVectorKind.rescaled_rademacher(), CostVectorKind.uniform_sphere()], ids=lambda k: k.kind)
+    def test_continuous_laws_keep_their_path(self, monkeypatch, dist, m, n, cost):
+        inst = sample_instance(dist, m, n, 0, cost)
+        out = solve(inst)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "PERTURB", 0.0)
+            plain = solve(inst)
+        certify_optimal(inst, out)
+        assert out.pivots == plain.pivots
+        assert out.z_star == plain.z_star
+        assert out.x_star.tobytes() == plain.x_star.tobytes()
+        assert out.y_star.tobytes() == plain.y_star.tobytes()
+
+    def test_pivot_path_independent_of_blas_threads(self):
+        # Without the perturbation the sign ties fell the way Binv @ col and
+        # A @ pi happened to round, which depends on the BLAS thread count.
+        code = (
+            "from randlp.sampling import CostVectorKind, EntryDistribution, SeedSpec, sample_cost_vector, sample_matrix\n"
+            "from randlp.solver import LPInstance, solve\n"
+            "A = sample_matrix(EntryDistribution.rademacher(), 6000, 150, SeedSpec(0, 0))\n"
+            "c = sample_cost_vector(CostVectorKind.rescaled_rademacher(), 150, SeedSpec(0, 1))\n"
+            "out = solve(LPInstance(A, c))\n"
+            "print(out.status, out.pivots)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        printed = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout.split())
+        assert printed[0][0] == "optimal"
+        assert printed[0] == printed[1]
 
 
 class TestPivotUpdates:
@@ -525,9 +594,7 @@ def _separate_run_phase(basis, phase, state):
         basis.swap(pos, j, d, theta)
         state["pivots"] += 1
         pivots = state["pivots"]
-        if pivots % solver.REFACTOR_INTERVAL == 0 or (
-            pivots % solver.RESIDUAL_CHECK == 0 and basis.residual() > solver.RESIDUAL_REFACTOR
-        ):
+        if pivots % solver.RESIDUAL_CHECK == 0 and basis.residual() > solver.RESIDUAL_REFACTOR:
             basis.refactor()
             np.clip(basis.xB, 0.0, None, out=basis.xB)
             pi = solver._multipliers(basis, phase)

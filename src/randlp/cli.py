@@ -42,13 +42,13 @@ def _add_command(subs, name: str, run, flags, blurb: str, instance: bool = False
 
 def _kinds(command: str) -> List[str]:
     """The experiment kinds that a campaign command runs."""
-    from .config import EXPERIMENT_KINDS
+    from .harness import KINDS
 
-    return [kind for kind, runs_it in EXPERIMENT_KINDS.items() if runs_it == command]
+    return [kind for kind, (runs_it, _, _) in KINDS.items() if runs_it == command]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .config import EXPERIMENT_KINDS
+    from .harness import KINDS
 
     parser = _Parser(prog="randlp", description="Random linear program experiments")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(
         subs, "restore", _cmd_restore, ("--config", "--out"), "run feasibility restoration on an .npz instance", instance=True
     )
-    for command in dict.fromkeys(EXPERIMENT_KINDS.values()):
+    for command in dict.fromkeys(runs_it for runs_it, _, _ in KINDS.values()):
         _add_command(subs, command, _run_campaign, _FLAGS, f"run a campaign of kind {' or '.join(_kinds(command))}")
     return parser
 

@@ -13,6 +13,9 @@ a YAML string, and a float a number or a numeric string (PyYAML reads 1e-12
 as a string). Unknown keys are rejected, so a typo cannot silently change an
 experiment.
 
+The experiment kinds are the keys of harness.KINDS, and sample_size is
+bounded by harness.MAX_REPLICATES, the stream packing's replicate range.
+
 CLI flags override file values; the RANDLP_OUTPUT_DIR environment variable
 overrides the file's output_dir (and is itself overridden by an explicit
 --out flag).
@@ -26,23 +29,11 @@ from typing import Mapping, Optional, Tuple, Union, get_args, get_origin, get_ty
 
 import yaml
 
+from .harness import KINDS, MAX_REPLICATES
 from .restore import RestoreOptions
 from .sampling import CostVectorKind, EntryDistribution
 
-# Experiment kind -> the CLI command that runs it.
-EXPERIMENT_KINDS = {
-    "ObjectiveTable": "table",
-    "StdDevTable": "table",
-    "SparseCostTable": "table",
-    "DistributionStudy": "dist",
-    "AlgorithmTable": "table",
-    "MeanWidth": "meanwidth",
-    "TailCheck": "tailcheck",
-}
 COST_POLICIES = ("FixedAcrossReplicates", "FreshPerReplicate")
-
-# Replicate indices are packed into stream indices below this bound.
-MAX_REPLICATES = 2**20
 
 # YAML keys of the ExperimentConfig fields whose names differ from them.
 _KEYS = {"experiment_kind": "experiment", "dist": "distribution", "cost_kind": "cost"}
@@ -91,7 +82,7 @@ class ExperimentConfig:
     svg: bool = False
 
     def __post_init__(self) -> None:
-        if self.experiment_kind not in EXPERIMENT_KINDS:
+        if self.experiment_kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.experiment_kind!r}")
         if self.cost_policy not in COST_POLICIES:
             raise ConfigError(f"unknown cost policy {self.cost_policy!r}")

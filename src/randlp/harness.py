@@ -9,6 +9,9 @@ under the campaign's master seed, with lane 0 the coefficient matrix, lane 1
 the cost vector, and lane 2 auxiliary draws (e.g. width directions). The
 packing is a pure function of the task's coordinates, so results do not
 depend on the worker count, and re-runs are bitwise reproducible.
+
+KINDS is the one place an experiment kind is declared: the CLI command that
+runs it, its runner, and its main table file. run_campaign runs any of them.
 """
 
 from __future__ import annotations
@@ -18,23 +21,28 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cli import cap_blas_threads
-from .config import MAX_REPLICATES, ExperimentConfig
 from .geometry import mean_width_mc
 from .restore import restore
-from .sampling import CostVectorKind, EntryDistribution, SeedSpec, sample_cost_vector, sample_matrix
+from .sampling import CostVectorKind, SeedSpec, sample_cost_vector, sample_matrix
 from .solver import LPInstance, solve
 from .stats import asymptotic_bound, ecdf, histogram, ks_test, relative_gap, summarize, tail_probability_mc
 from . import render
+
+if TYPE_CHECKING:  # config imports KINDS from here
+    from .config import ExperimentConfig
 
 LANE_MATRIX = 0
 LANE_COST = 1
 LANE_AUX = 2
 _LANES = 8
+# Replicate indices are packed into stream indices below this bound.
+MAX_REPLICATES = 2**20
 
 
 def stream_index(grid_index: int, replicate_index: int, lane: int) -> int:
@@ -231,17 +239,7 @@ def _stddev_stats(m: int, ab: float, values: List[float]) -> dict:
     return {"sigma_hat": sigma, "sigma_sqrt_m": sigma * math.sqrt(m)}
 
 
-def run_objective_table(config: ExperimentConfig) -> CampaignResult:
-    """Sample-mean objective versus the asymptotic reference on a grid."""
-    return _grid_table(config, _mean_stats)
-
-
-def run_stddev_table(config: ExperimentConfig) -> CampaignResult:
-    """Sample standard deviation of the objective, scaled by sqrt(m)."""
-    return _grid_table(config, _stddev_stats)
-
-
-def run_sparse_cost_table(config: ExperimentConfig) -> CampaignResult:
+def _sparse_cost_table(config: ExperimentConfig) -> CampaignResult:
     """Spike-cost sweep against the spread-cost baseline on shared matrices.
 
     k = 0 in the output denotes the baseline row.
@@ -271,7 +269,7 @@ def run_sparse_cost_table(config: ExperimentConfig) -> CampaignResult:
 _HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "count")
 
 
-def run_distribution_study(config: ExperimentConfig) -> CampaignResult:
+def _distribution_study(config: ExperimentConfig) -> CampaignResult:
     """Histogram, ECDF, and normal goodness-of-fit of the objective ensemble."""
     records = _concat(_solve_campaign_records(config))
     values = _optimal_values(records)
@@ -285,16 +283,11 @@ def run_distribution_study(config: ExperimentConfig) -> CampaignResult:
     return CampaignResult(rows=rows, records=records, ks=ks_payload)
 
 
-def run_algorithm_table(config: ExperimentConfig) -> CampaignResult:
-    """Feasibility-restoration sweeps over the grid, one row per run."""
-    return _row_record_table(_restore_task, _replicate_tasks(config), config.workers)
-
-
 def _mean_width_task(task: Tuple) -> Tuple[dict, RunRecord]:
     """One grid point's mean width: its (row, record)."""
     config, g = task
     m, n = config.grid[g]
-    A = sample_matrix(config.dist, m, n, SeedSpec(config.master_seed, stream_index(g, 0, LANE_MATRIX)))
+    A = _sample_matrix(config, g, 0)
     t0 = time.perf_counter()
     est = mean_width_mc(A, config.trials, SeedSpec(config.master_seed, stream_index(g, 0, LANE_AUX)))
     wall = time.perf_counter() - t0
@@ -338,39 +331,38 @@ def _tail_task(task: Tuple) -> Tuple[dict, RunRecord]:
     return row, record
 
 
-def _row_record_table(fn, tasks: List[Tuple], workers: int) -> CampaignResult:
-    """Run tasks that each return a (row, record) pair."""
-    pairs = _map_tasks(fn, tasks, workers)
+def _row_record_table(fn, tasks_of, config: ExperimentConfig) -> CampaignResult:
+    """Run the tasks tasks_of(config), each of which fn turns into a (row,
+    record) pair."""
+    pairs = _map_tasks(fn, tasks_of(config), config.workers)
     return CampaignResult(rows=[row for row, _ in pairs], records=[rec for _, rec in pairs])
 
 
-def run_mean_width(config: ExperimentConfig) -> CampaignResult:
-    """Monte Carlo mean width, one task per grid point."""
-    return _row_record_table(_mean_width_task, [(config, g) for g in range(len(config.grid))], config.workers)
-
-
-def run_tail_check(config: ExperimentConfig) -> CampaignResult:
-    """Monte Carlo moderate-deviation tails for the flat unit direction, one
-    task per case."""
-    return _row_record_table(_tail_task, [(config, idx) for idx in range(len(config.tail_cases))], config.workers)
-
-
-# Experiment kind -> (runner, main table file). A table's columns are its
-# rows' keys, in the order its runner writes them.
-_KINDS = {
-    "ObjectiveTable": (run_objective_table, "objective_table.csv"),
-    "StdDevTable": (run_stddev_table, "stddev_table.csv"),
-    "SparseCostTable": (run_sparse_cost_table, "sparse_cost_table.csv"),
-    "DistributionStudy": (run_distribution_study, "histogram.csv"),
-    "AlgorithmTable": (run_algorithm_table, "algorithm_table.csv"),
-    "MeanWidth": (run_mean_width, "mean_width.csv"),
-    "TailCheck": (run_tail_check, "tail_check.csv"),
+# Experiment kind -> (CLI command, runner, main table file). A table's
+# columns are its rows' keys, in the order its runner writes them. MeanWidth
+# runs one task per grid point, TailCheck one per tail case.
+KINDS = {
+    "ObjectiveTable": ("table", partial(_grid_table, row_stats=_mean_stats), "objective_table.csv"),
+    "StdDevTable": ("table", partial(_grid_table, row_stats=_stddev_stats), "stddev_table.csv"),
+    "SparseCostTable": ("table", _sparse_cost_table, "sparse_cost_table.csv"),
+    "DistributionStudy": ("dist", _distribution_study, "histogram.csv"),
+    "AlgorithmTable": ("table", partial(_row_record_table, _restore_task, _replicate_tasks), "algorithm_table.csv"),
+    "MeanWidth": (
+        "meanwidth",
+        partial(_row_record_table, _mean_width_task, lambda config: [(config, g) for g in range(len(config.grid))]),
+        "mean_width.csv",
+    ),
+    "TailCheck": (
+        "tailcheck",
+        partial(_row_record_table, _tail_task, lambda config: [(config, i) for i in range(len(config.tail_cases))]),
+        "tail_check.csv",
+    ),
 }
 
 
 def run_campaign(config: ExperimentConfig) -> CampaignResult:
-    """Dispatch to the configured experiment kind."""
-    return _KINDS[config.experiment_kind][0](config)
+    """Run the campaign of the configured experiment kind."""
+    return KINDS[config.experiment_kind][1](config)
 
 
 def _format_cell(value) -> str:
@@ -402,7 +394,7 @@ def emit(config: ExperimentConfig, result: CampaignResult, output_dir: Optional[
     footer = f"# excluded_replicates={result.errored}"
     # Only the histogram can have no rows: every replicate failed.
     header = tuple(result.rows[0]) if result.rows else _HISTOGRAM_COLUMNS
-    files = [os.path.join(out, _KINDS[kind][1])]
+    files = [os.path.join(out, KINDS[kind][2])]
     _write_csv(files[0], header, result.rows, footer)
     if kind == "DistributionStudy":
         values = _optimal_values(result.records)

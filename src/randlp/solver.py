@@ -392,8 +392,9 @@ def _extract_unbounded(inst: LPInstance, basis: _Basis, pivots: int) -> SolveOut
 def solve(inst: LPInstance) -> SolveOutcome:
     """Solve the instance exactly; see SolveOutcome for the certificates.
 
-    Deterministic for fixed input. Never silently wrong: any tolerance breach
-    comes back as status "numerical_failure" with a diagnostic message.
+    Deterministic for fixed input. Never silently wrong: any tolerance breach,
+    or a basis found singular, comes back as status "numerical_failure" with a
+    diagnostic message.
     """
     m, n = inst.m, inst.n
     signs = np.where(inst.c >= 0.0, 1.0, -1.0)
@@ -402,17 +403,21 @@ def solve(inst: LPInstance) -> SolveOutcome:
     in_set = np.zeros(m, dtype=bool) if WORKING_SET * n < m else None
     state = {"pivots": 0, "degenerate": 0, "bland": False, "in_set": in_set}
 
-    tag = _run_phase(basis, 1, state)
-    if tag != "optimal":
-        return SolveOutcome(status="numerical_failure", pivots=state["pivots"], message=f"phase 1: {tag}")
-    basis.b = inst.c
-    basis.refactor()
-    phase1_objective = float(np.sum(basis.xB[basis.basis >= m]))
-    if phase1_objective > FEAS_TOL * max(1.0, float(np.linalg.norm(inst.c))):
-        return _extract_unbounded(inst, basis, state["pivots"])
+    try:
+        tag = _run_phase(basis, 1, state)
+        if tag != "optimal":
+            return SolveOutcome(status="numerical_failure", pivots=state["pivots"], message=f"phase 1: {tag}")
+        basis.b = inst.c
+        basis.refactor()
+        phase1_objective = float(np.sum(basis.xB[basis.basis >= m]))
+        if phase1_objective > FEAS_TOL * max(1.0, float(np.linalg.norm(inst.c))):
+            return _extract_unbounded(inst, basis, state["pivots"])
 
-    _drive_out_artificials(basis, state)
-    tag = _run_phase(basis, 2, state)
-    if tag != "optimal":
-        return SolveOutcome(status="numerical_failure", pivots=state["pivots"], message=f"phase 2: {tag}")
-    return _extract_optimal(inst, basis, state["pivots"])
+        _drive_out_artificials(basis, state)
+        tag = _run_phase(basis, 2, state)
+        if tag != "optimal":
+            return SolveOutcome(status="numerical_failure", pivots=state["pivots"], message=f"phase 2: {tag}")
+        return _extract_optimal(inst, basis, state["pivots"])
+    except np.linalg.LinAlgError as exc:
+        # Raised by a refactor of a basis that has turned singular.
+        return SolveOutcome(status="numerical_failure", pivots=state["pivots"], message=f"singular basis: {exc}")

@@ -26,10 +26,7 @@ from randlp.harness import (
     LANE_COST,
     LANE_MATRIX,
     emit,
-    run_distribution_study,
-    run_objective_table,
-    run_sparse_cost_table,
-    run_stddev_table,
+    run_campaign,
     stream_index,
 )
 from randlp.oracle import brute_force_oracle
@@ -93,14 +90,14 @@ def sweep_config(dist: str) -> dict:
 
 @pytest.fixture(scope="module")
 def gaussian_sweep():
-    result = run_objective_table(config_from_mapping(sweep_config("gaussian")))
+    result = run_campaign(config_from_mapping(sweep_config("gaussian")))
     assert result.errored == 0
     return result
 
 
 @pytest.fixture(scope="module")
 def rademacher_sweep():
-    result = run_objective_table(config_from_mapping(sweep_config("rademacher")))
+    result = run_campaign(config_from_mapping(sweep_config("rademacher")))
     assert result.errored == 0
     return result
 
@@ -220,7 +217,7 @@ def test_criterion_06_stddev_scaling_band():
             "master_seed": 0,
             "distribution": {"kind": dist},
         })
-        result = run_stddev_table(cfg)
+        result = run_campaign(cfg)
         assert result.errored == 0
         for row in result.rows:
             if not 0.5 <= row["sigma_sqrt_m"] <= 1.2:
@@ -242,7 +239,7 @@ def test_criterion_07_sparse_cost_gap_pattern():
         "master_seed": 0,
         "distribution": {"kind": "bernoulli_normal"},
     })
-    result = run_sparse_cost_table(cfg)
+    result = run_campaign(cfg)
     assert result.errored == 0
     gaps = {row["k"]: row["relative_gap_pct"] for row in result.rows if row["k"] > 0}
     worst_rise = max(gaps[k + 1] - gaps[k] for k in range(1, 10))
@@ -301,7 +298,7 @@ def test_criterion_09_ks_normality_across_seeds():
                 "master_seed": master,
                 "distribution": {"kind": dist},
             })
-            result = run_distribution_study(cfg)
+            result = run_campaign(cfg)
             assert result.errored == 0
             p_values.append(result.ks["p_value"])
         counts[dist] = sum(p > 0.05 for p in p_values)
@@ -391,7 +388,7 @@ def test_criterion_13_worker_count_invariance(tmp_path):
             "master_seed": 0,
             "workers": workers,
         })
-        result = run_objective_table(cfg)
+        result = run_campaign(cfg)
         out_dir = tmp_path / f"w{workers}"
         emit(cfg, result, output_dir=str(out_dir))
         table = (out_dir / "objective_table.csv").read_bytes()

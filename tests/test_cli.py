@@ -141,6 +141,17 @@ class TestCampaignCommands:
         lines = (out / "objective_table.csv").read_text().splitlines()
         assert lines[-1] == "# excluded_replicates=1"
 
+    def test_singular_basis_exits_2(self, tmp_path, monkeypatch, capsys):
+        def singular(self):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("randlp.solver._Basis.refactor", singular)
+        cfg = write_config(tmp_path / "c.yaml")
+        out = tmp_path / "results"
+        assert main(["table", "--config", cfg, "--out", str(out)]) == 2
+        lines = (out / "objective_table.csv").read_text().splitlines()
+        assert lines[-1] == "# excluded_replicates=3"
+
     def test_seed_override_matches_config_seed(self, tmp_path, capsys):
         cfg_a = write_config(tmp_path / "a.yaml", master_seed=11)
         cfg_b = write_config(tmp_path / "b.yaml", master_seed=5)

@@ -2,6 +2,10 @@
 Tests for the campaign harness: stream packing, record derivations, the
 table runners, and file emission.
 
+Every campaign here runs through run_campaign. The experiment kinds are the
+keys of harness.KINDS, which _KIND_CONFIGS below mirrors with one tiny config
+per kind; MAX_REPLICATES sits beside stream_index in harness.
+
 Runner outputs are deterministic functions of (config, master_seed), so
 expected values here are frozen from the seeds in use. One test exercises a
 real two-worker process pool and takes a few seconds.
@@ -17,7 +21,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from randlp import harness
+from randlp import cli, harness
 from randlp.config import config_from_mapping
 from randlp.geometry import mean_width_mc
 from randlp.harness import (
@@ -25,14 +29,7 @@ from randlp.harness import (
     LANE_COST,
     LANE_MATRIX,
     emit,
-    run_algorithm_table,
     run_campaign,
-    run_distribution_study,
-    run_mean_width,
-    run_objective_table,
-    run_sparse_cost_table,
-    run_stddev_table,
-    run_tail_check,
     stream_index,
 )
 from randlp.restore import IterationRecord, RestoreTrace
@@ -87,7 +84,7 @@ class TestRecordDerivation:
 
     def test_fixed_policy_rederives_bitwise(self):
         cfg = make_config()
-        result = run_objective_table(cfg)
+        result = run_campaign(cfg)
         for g, (m, n) in enumerate(cfg.grid):
             recs = [r for r in result.records if (r.m, r.n) == (m, n)]
             assert [r.replicate_index for r in recs] == [0, 1, 2]
@@ -104,7 +101,7 @@ class TestRecordDerivation:
 
     def test_fresh_policy_rederives_bitwise(self):
         cfg = make_config(cost_policy="FreshPerReplicate", grid=[[30, 5]])
-        result = run_objective_table(cfg)
+        result = run_campaign(cfg)
         for j, rec in enumerate(result.records):
             A = sample_matrix(cfg.dist, 30, 5, SeedSpec(cfg.master_seed, rec.stream_index))
             c = sample_cost_vector(
@@ -134,13 +131,13 @@ def _asdict_to_json(rec):
 
 class TestRecordJson:
     def _records(self):
-        restoration = run_algorithm_table(
+        restoration = run_campaign(
             config_from_mapping(
                 {"experiment": "AlgorithmTable", "grid": [[100, 10]], "sample_size": 2,
                  "cost": {"kind": "uniform_sphere"}, "master_seed": 11}
             )
         ).records[0]
-        optimal = run_objective_table(make_config()).records[0]
+        optimal = run_campaign(make_config()).records[0]
         failed = harness.RunRecord(
             m=6, n=5, replicate_index=0, stream_index=0, z_star=None, pivots=3, wall_time=0.5,
             status="unbounded", error="unbounded",
@@ -169,7 +166,7 @@ class TestStubSolver:
         monkeypatch.setattr(
             harness, "solve", lambda inst: SolveOutcome(status="optimal", pivots=0, z_star=0.75)
         )
-        result = run_stddev_table(make_config(experiment="StdDevTable"))
+        result = run_campaign(make_config(experiment="StdDevTable"))
         for row in result.rows:
             assert row["sigma_hat"] == 0.0
             assert row["sigma_sqrt_m"] == 0.0
@@ -180,7 +177,7 @@ class TestStubSolver:
         monkeypatch.setattr(
             harness, "solve", lambda inst: SolveOutcome(status="optimal", pivots=0, z_star=0.75)
         )
-        result = run_objective_table(make_config())
+        result = run_campaign(make_config())
         for row in result.rows:
             assert row["mu_hat"] == 0.75
             ab = asymptotic_bound(row["m"], row["n"])
@@ -198,7 +195,7 @@ class TestStubSolver:
             return SolveOutcome(status="optimal", pivots=0, z_star=float(k))
 
         monkeypatch.setattr(harness, "solve", flaky)
-        result = run_objective_table(make_config(grid=[[30, 5]], sample_size=4))
+        result = run_campaign(make_config(grid=[[30, 5]], sample_size=4))
         assert result.errored == 2
         assert result.partial
         assert result.rows[0]["mu_hat"] == 1.0
@@ -220,16 +217,31 @@ class TestStubSolver:
 
         monkeypatch.setattr(harness, "solve", flaky)
         cfg = make_config(grid=[[30, 5]], sample_size=4)
-        result = run_objective_table(cfg)
+        result = run_campaign(cfg)
         emit(cfg, result, output_dir=str(tmp_path))
         lines = (tmp_path / "objective_table.csv").read_text().splitlines()
         assert lines[-1] == "# excluded_replicates=2"
+
+    def test_singular_basis_is_excluded_not_raised(self, monkeypatch, tmp_path):
+        def singular(self):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("randlp.solver._Basis.refactor", singular)
+        cfg = make_config()
+        result = run_campaign(cfg)
+        assert {rec.status for rec in result.records} == {"numerical_failure"}
+        assert all(rec.error == "singular basis: Singular matrix" for rec in result.records)
+        assert result.errored == len(result.records) == 6
+        assert all(math.isnan(row["mu_hat"]) for row in result.rows)
+        emit(cfg, result, output_dir=str(tmp_path))
+        lines = (tmp_path / "objective_table.csv").read_text().splitlines()
+        assert lines[-1] == "# excluded_replicates=6"
 
 
 class TestTableRunners:
     def test_objective_rows_schema(self):
         cfg = make_config()
-        result = run_objective_table(cfg)
+        result = run_campaign(cfg)
         assert [(r["m"], r["n"]) for r in result.rows] == [(30, 5), (40, 6)]
         for row in result.rows:
             assert row["ab"] == asymptotic_bound(row["m"], row["n"])
@@ -240,30 +252,26 @@ class TestTableRunners:
         assert result.errored == 0
         assert not result.partial
 
-    def test_dispatch_matches_direct_call(self):
-        cfg = make_config()
-        assert run_campaign(cfg).rows == run_objective_table(cfg).rows
-
     def test_stddev_rows(self):
         cfg = make_config(experiment="StdDevTable", sample_size=4)
-        result = run_stddev_table(cfg)
+        result = run_campaign(cfg)
         for row in result.rows:
             assert row["sigma_hat"] > 0.0
             assert_allclose(row["sigma_sqrt_m"], row["sigma_hat"] * math.sqrt(row["m"]), rtol=1e-15)
 
     @pytest.mark.parametrize(
-        "runner, column, statistic",
+        "kind, column, statistic",
         [
-            (run_objective_table, "mu_hat", lambda values: float(np.mean(values))),
-            (run_stddev_table, "sigma_hat", lambda values: summarize(values).std),
+            ("ObjectiveTable", "mu_hat", lambda values: float(np.mean(values))),
+            ("StdDevTable", "sigma_hat", lambda values: summarize(values).std),
         ],
         ids=["ObjectiveTable", "StdDevTable"],
     )
-    def test_repeated_grid_entry_reads_its_own_replicates(self, runner, column, statistic):
+    def test_repeated_grid_entry_reads_its_own_replicates(self, kind, column, statistic):
         # A point listed twice gets one row per entry, each from that entry's
         # own streams, not two copies of a row pooled over both entries.
-        cfg = make_config(grid=[[200, 10], [200, 10]], sample_size=3, master_seed=0)
-        result = runner(cfg)
+        cfg = make_config(experiment=kind, grid=[[200, 10], [200, 10]], sample_size=3, master_seed=0)
+        result = run_campaign(cfg)
         assert len(result.rows) == 2
         for g, row in enumerate(result.rows):
             own = [rec for rec in result.records if rec.stream_index == stream_index(g, rec.replicate_index, LANE_MATRIX)]
@@ -273,7 +281,7 @@ class TestTableRunners:
 
     def test_sparse_cost_rows_and_pairing(self):
         cfg = make_config(experiment="SparseCostTable", grid=[[40, 6]], k_values=[1, 2])
-        result = run_sparse_cost_table(cfg)
+        result = run_campaign(cfg)
         assert [row["k"] for row in result.rows] == [0, 1, 2]
         assert result.rows[0]["relative_gap_pct"] == 0.0
         mu_base = result.rows[0]["mu_hat"]
@@ -294,7 +302,7 @@ class TestTableRunners:
 
         monkeypatch.setattr(harness, "sample_matrix", spy)
         cfg = make_config(experiment="SparseCostTable", grid=[[40, 6]], k_values=[1, 2])
-        result = run_sparse_cost_table(cfg)
+        result = run_campaign(cfg)
         assert drawn == [stream_index(0, j, LANE_MATRIX) for j in range(3)]
         # Records still come grid point by grid point, arm by arm.
         arms = [(rec.arm, rec.replicate_index) for rec in result.records]
@@ -302,7 +310,7 @@ class TestTableRunners:
 
     def test_sparse_cost_arm_rederives_bitwise(self):
         cfg = make_config(experiment="SparseCostTable", grid=[[40, 6]], k_values=[1])
-        result = run_sparse_cost_table(cfg)
+        result = run_campaign(cfg)
         rec = next(r for r in result.records if r.arm == "k=1" and r.replicate_index == 1)
         A = sample_matrix(cfg.dist, 40, 6, SeedSpec(cfg.master_seed, rec.stream_index))
         c = sample_cost_vector(
@@ -314,7 +322,7 @@ class TestTableRunners:
         cfg = make_config(
             experiment="SparseCostTable", grid=[[40, 6]], k_values=[1, 2], baseline_mu=0.5
         )
-        result = run_sparse_cost_table(cfg)
+        result = run_campaign(cfg)
         for row in result.rows:
             assert_allclose(
                 row["relative_gap_vs_supplied_pct"], relative_gap(0.5, row["mu_hat"]), rtol=1e-12
@@ -322,7 +330,7 @@ class TestTableRunners:
 
     def test_sparse_cost_without_supplied_baseline(self):
         cfg = make_config(experiment="SparseCostTable", grid=[[40, 6]], k_values=[1])
-        result = run_sparse_cost_table(cfg)
+        result = run_campaign(cfg)
         assert all("relative_gap_vs_supplied_pct" not in row for row in result.rows)
 
     def test_algorithm_rows_preserve_objective(self):
@@ -332,7 +340,7 @@ class TestTableRunners:
             master_seed=3,
             cost={"kind": "uniform_sphere"},
         )
-        result = run_algorithm_table(cfg)
+        result = run_campaign(cfg)
         ab = asymptotic_bound(300, 20)
         assert [row["r"] for row in result.rows] == [2, 2, 2]
         for row in result.rows:
@@ -350,7 +358,7 @@ class TestTableRunners:
             sample_size=2,
             cost={"kind": "uniform_sphere"},
         )
-        result = run_algorithm_table(cfg)
+        result = run_campaign(cfg)
         assert [row["converged"] for row in result.rows] == [False, True]
         assert result.rows[0]["r"] == 50
         assert result.records[0].status == "non_converged"
@@ -375,7 +383,7 @@ class TestTableRunners:
             )
 
         monkeypatch.setattr(harness, "restore", stub)
-        result = run_algorithm_table(make_config(experiment="AlgorithmTable", grid=[[30, 5]]))
+        result = run_campaign(make_config(experiment="AlgorithmTable", grid=[[30, 5]]))
         assert all(row["converged"] is False for row in result.rows)
         assert all(row["r"] == 7 for row in result.rows)
         assert all(row["i0"] == 5 and row["i1"] == 2 for row in result.rows)
@@ -395,7 +403,7 @@ class TestTableRunners:
             return trace
 
         monkeypatch.setattr(harness, "restore", stub)
-        result = run_algorithm_table(
+        result = run_campaign(
             make_config(experiment="AlgorithmTable", grid=[[30, 5]], sample_size=1)
         )
         assert result.errored == 1
@@ -408,7 +416,7 @@ class TestTableRunners:
 
     def test_mean_width_rows_rederive(self):
         cfg = make_config(experiment="MeanWidth", grid=[[40, 4]], trials=64)
-        result = run_mean_width(cfg)
+        result = run_campaign(cfg)
         row = result.rows[0]
         assert row["trials"] == 64
         assert row["estimate"] > 0.0
@@ -425,7 +433,7 @@ class TestTableRunners:
             "randlp.geometry.solve", lambda inst: SolveOutcome(status="numerical_failure", pivots=0, message="stub")
         )
         cfg = make_config(experiment="MeanWidth", grid=[[40, 4]], trials=16)
-        result = run_mean_width(cfg)
+        result = run_campaign(cfg)
         rec = result.records[0]
         assert rec.status == "error"
         assert rec.error.startswith("direction 0: solver reported numerical_failure")
@@ -441,7 +449,7 @@ class TestTableRunners:
             experiment="TailCheck",
             tail_cases=[{"n": 100, "delta": 0.04, "eps": 0.0, "trials": 2000}],
         )
-        result = run_tail_check(cfg)
+        result = run_campaign(cfg)
         row = result.rows[0]
         assert row["t"] == 2.0
         assert row["exponent_bound"] == math.exp(-2.0)
@@ -455,21 +463,21 @@ class TestTableRunners:
 
     def test_distribution_study_payload(self):
         cfg = make_config(experiment="DistributionStudy", grid=[[30, 5]], sample_size=16)
-        result = run_distribution_study(cfg)
+        result = run_campaign(cfg)
         assert set(result.ks) == {"statistic", "p_value", "n_samples"}
         assert result.ks["n_samples"] == 16
         assert sum(row["count"] for row in result.rows) == 16
 
     def test_distribution_study_too_small_for_ks(self):
         cfg = make_config(experiment="DistributionStudy", grid=[[30, 5]], sample_size=5)
-        result = run_distribution_study(cfg)
+        result = run_campaign(cfg)
         assert "error" in result.ks
 
 
 class TestEmission:
     def test_objective_csv_schema(self, tmp_path):
         cfg = make_config()
-        result = run_objective_table(cfg)
+        result = run_campaign(cfg)
         files = emit(cfg, result, output_dir=str(tmp_path))
         assert files == [str(tmp_path / "objective_table.csv"), str(tmp_path / "records.jsonl")]
         lines = (tmp_path / "objective_table.csv").read_text().splitlines()
@@ -482,7 +490,7 @@ class TestEmission:
 
     def test_records_jsonl_round_trip(self, tmp_path):
         cfg = make_config()
-        result = run_objective_table(cfg)
+        result = run_campaign(cfg)
         emit(cfg, result, output_dir=str(tmp_path))
         lines = (tmp_path / "records.jsonl").read_text().splitlines()
         assert len(lines) == len(result.records)
@@ -497,7 +505,7 @@ class TestEmission:
         out = []
         for tag in ("a", "b"):
             cfg = make_config()
-            result = run_objective_table(cfg)
+            result = run_campaign(cfg)
             emit(cfg, result, output_dir=str(tmp_path / tag))
             out.append(tmp_path / tag)
         assert (out[0] / "objective_table.csv").read_bytes() == (
@@ -518,13 +526,13 @@ class TestEmission:
         cfg = make_config(
             experiment="SparseCostTable", grid=[[40, 6]], k_values=[1], baseline_mu=0.5
         )
-        emit(cfg, run_sparse_cost_table(cfg), output_dir=str(tmp_path))
+        emit(cfg, run_campaign(cfg), output_dir=str(tmp_path))
         header = (tmp_path / "sparse_cost_table.csv").read_text().splitlines()[0]
         assert header == "k,mu_hat,relative_gap_pct,relative_gap_vs_supplied_pct"
 
     def test_distribution_emission(self, tmp_path):
         cfg = make_config(experiment="DistributionStudy", grid=[[30, 5]], sample_size=16, svg=True)
-        result = run_distribution_study(cfg)
+        result = run_campaign(cfg)
         files = emit(cfg, result, output_dir=str(tmp_path))
         names = [os.path.basename(f) for f in files]
         assert names == ["histogram.csv", "ecdf.csv", "ks.json", "histogram.svg", "ecdf.svg", "records.jsonl"]
@@ -537,7 +545,7 @@ class TestEmission:
 
     def test_output_dir_falls_back_to_config(self, tmp_path):
         cfg = make_config(output_dir=str(tmp_path / "from_config"))
-        result = run_objective_table(cfg)
+        result = run_campaign(cfg)
         files = emit(cfg, result)
         assert all(f.startswith(str(tmp_path / "from_config")) for f in files)
         assert os.path.exists(files[0])
@@ -573,11 +581,24 @@ def _canonical_records(path):
     return out
 
 
+class TestKindTable:
+    def test_every_kind_has_a_command_a_config_and_a_first_file(self, tmp_path):
+        assert set(harness.KINDS) == set(_KIND_CONFIGS)
+        parser = cli.build_parser()
+        for kind, (command, _, table_file) in harness.KINDS.items():
+            args = parser.parse_args([command, "--config", "c.yaml"])
+            assert args.run is cli._run_campaign
+            assert kind in cli._kinds(command)
+            cfg = config_from_mapping(dict(_KIND_CONFIGS[kind], experiment=kind, master_seed=11))
+            files = emit(cfg, run_campaign(cfg), output_dir=str(tmp_path / kind))
+            assert os.path.basename(files[0]) == table_file
+
+
 class TestWorkerInvariance:
     def test_two_workers_match_one(self):
         base = {"experiment": "ObjectiveTable", "grid": [[60, 8]], "sample_size": 4, "master_seed": 11}
-        serial = run_objective_table(config_from_mapping(dict(base, workers=1)))
-        pooled = run_objective_table(config_from_mapping(dict(base, workers=2)))
+        serial = run_campaign(config_from_mapping(dict(base, workers=1)))
+        pooled = run_campaign(config_from_mapping(dict(base, workers=2)))
         assert serial.rows == pooled.rows
 
         def canon(records):
@@ -606,13 +627,13 @@ class TestWorkerInvariance:
                 assert a.read_bytes() == b.read_bytes(), a.name
 
     @pytest.mark.parametrize(
-        "kind, runner, errored",
-        [("MeanWidth", run_mean_width, 1), ("TailCheck", run_tail_check, 0)],
+        "kind, errored",
+        [("MeanWidth", 1), ("TailCheck", 0)],
         ids=["MeanWidth", "TailCheck"],
     )
-    def test_monte_carlo_kinds_dispatch_through_task_map(self, kind, runner, errored, monkeypatch):
+    def test_monte_carlo_kinds_dispatch_through_task_map(self, kind, errored, monkeypatch):
         # The spy runs the tasks in this process but records the worker
-        # count each runner asked for.
+        # count each kind asked for.
         seen = []
 
         def spy(fn, tasks, workers):
@@ -621,7 +642,7 @@ class TestWorkerInvariance:
 
         monkeypatch.setattr(harness, "_map_tasks", spy)
         cfg = config_from_mapping(dict(_KIND_CONFIGS[kind], experiment=kind, master_seed=11, workers=2))
-        result = runner(cfg)
+        result = run_campaign(cfg)
         # Both configs have two grid points or cases.
         assert seen == [(2, 2)]
         assert len(result.rows) == len(result.records) == 2

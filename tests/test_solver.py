@@ -688,3 +688,126 @@ class TestPivotPath:
         monkeypatch.setattr(solver, "_run_phase", spy)
         outcome = self.assert_pinned(monkeypatch, sample_instance(EntryDistribution.rademacher(), 4000, 20, 0))
         assert outcome[0] == "optimal" and bland[-1]
+
+
+class TestSingularBasis:
+    def test_refactor_failure_is_a_numerical_failure(self, monkeypatch):
+        def singular(self):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(solver._Basis, "refactor", singular)
+        out = solve(sample_instance(EntryDistribution.gaussian(), 200, 20, 0))
+        assert out.status == "numerical_failure"
+        assert out.message == "singular basis: Singular matrix"
+        # Phase 1 pivots before its closing refactor.
+        assert out.pivots > 0
+        assert out.z_star is None and out.ray is None
+
+
+# Families of hard inputs for the property tests, each drawing A from a
+# generator and (m, n); PROPERTY_FAMILIES names them.
+def _duplicated_and_zero_rows(gen, m, n):
+    A = gen.standard_normal((m, n))
+    A[gen.integers(0, m, m // 2)] = A[gen.integers(0, m, m // 2)]
+    A[gen.integers(0, m, m // 5)] = 0.0
+    return A
+
+
+def _scaled_rows(gen, m, n):
+    return gen.standard_normal((m, n)) * 10.0 ** gen.integers(-6, 7, m)[:, None]
+
+
+def _rank_deficient(gen, m, n):
+    # Copied columns: bounded only where c agrees on each copied pair.
+    A = gen.standard_normal((m, n))
+    A[:, gen.integers(0, n, n // 2)] = A[:, gen.integers(0, n, n // 2)]
+    return A
+
+
+def _near_parallel_rows(gen, m, n):
+    base = gen.standard_normal((max(1, m // 8), n))
+    scale = gen.uniform(0.5, 2.0, (m, 1))
+    return scale * (base[gen.integers(0, len(base), m)] + 1e-9 * gen.standard_normal((m, n)))
+
+
+def _rademacher(gen, m, n):
+    return gen.choice([-1.0, 1.0], (m, n))
+
+
+def _small_integers(gen, m, n):
+    return gen.integers(-3, 4, (m, n)).astype(float)
+
+
+PROPERTY_FAMILIES = {
+    "duplicated_and_zero_rows": _duplicated_and_zero_rows,
+    "scaled_rows": _scaled_rows,
+    "rank_deficient": _rank_deficient,
+    "near_parallel_rows": _near_parallel_rows,
+    "rademacher": _rademacher,
+    "small_integers": _small_integers,
+}
+LATTICE_FAMILIES = ("rademacher", "small_integers")
+
+
+def property_instance(family, m, n, seed, cost, reflect):
+    """A seeded instance of the family, optionally reflected to be unbounded."""
+    A = PROPERTY_FAMILIES[family](np.random.default_rng(seed), m, n)
+    inst = LPInstance(A=A, c=sample_cost_vector(cost, n, SeedSpec(seed, 1)))
+    return reflected(inst) if reflect else inst
+
+
+def check_certified_or_failure(inst: LPInstance, out) -> None:
+    """Every outcome is a certified optimum, a certified ray, or a reported
+    failure; where scipy is present an optimum agrees with HiGHS's interior
+    point method to 1e-6 relative."""
+    assert out.status in ("optimal", "unbounded", "numerical_failure"), out.status
+    if out.status == "unbounded":
+        certify_unbounded(inst, out)
+    if out.status != "optimal":
+        return
+    certify_optimal(inst, out)
+    try:
+        from scipy.optimize import linprog
+    except ImportError:
+        return
+    ref = linprog(-inst.c, A_ub=inst.A, b_ub=np.ones(inst.m), bounds=(None, None), method="highs-ipm")
+    assert ref.status == 0, ref.message
+    assert abs(out.z_star + ref.fun) <= 1e-6 * max(1.0, abs(out.z_star))
+
+
+class TestSolverProperties:
+    """Hypothesis property tests over degenerate, badly scaled and unbounded
+    inputs at m <= 80, n <= 9, built from seeds so that each example is cheap."""
+
+    @staticmethod
+    def run(families, examples):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def instances(n):
+            costs = st.one_of(
+                st.just(CostVectorKind.rescaled_rademacher()),
+                st.just(CostVectorKind.uniform_sphere()),
+                st.integers(1, n).map(CostVectorKind.k_spike),
+            )
+            return st.tuples(
+                st.sampled_from(families), st.integers(1, 80), st.just(n), st.integers(0, 2**32 - 1), costs,
+                st.booleans(),
+            )
+
+        @hypothesis.settings(max_examples=examples, derandomize=True, database=None, deadline=None)
+        @hypothesis.given(st.integers(1, 9).flatmap(instances))
+        def certified_or_failure(args):
+            inst = property_instance(*args)
+            check_certified_or_failure(inst, solve(inst))
+
+        certified_or_failure()
+
+    def test_certified_or_failure(self):
+        self.run(sorted(PROPERTY_FAMILIES), 800)
+
+    def test_lattice_entries_under_blands_rule(self, monkeypatch):
+        # A zero degenerate budget puts every pivot after the first
+        # degenerate one under Bland's rule.
+        monkeypatch.setattr(solver, "DEGENERATE_BUDGET", 0)
+        self.run(LATTICE_FAMILIES, 200)

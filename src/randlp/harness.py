@@ -253,10 +253,10 @@ def _sparse_cost_table(config: ExperimentConfig) -> CampaignResult:
     mu_base = float(np.mean(baseline_values)) if baseline_values else float("nan")
     supplied = config.baseline_mu
     rows = [{"k": 0, "mu_hat": mu_base, "relative_gap_pct": 0.0}]
+    # Each spike arm's reference level is the baseline mean (_mean_stats
+    # ignores m); with no baseline values it is NaN, and so is every gap.
     for k, values in zip(config.k_values, arm_values[1:]):
-        mu = float(np.mean(values)) if values else float("nan")
-        gap = relative_gap(mu_base, mu) if values and baseline_values else float("nan")
-        rows.append({"k": k, "mu_hat": mu, "relative_gap_pct": gap})
+        rows.append({"k": k, **_mean_stats(0, mu_base, values)})
     if supplied is not None:
         for row in rows:
             mu = row["mu_hat"]

@@ -1,9 +1,9 @@
 """The small symmetric Gram solves used by restoration.
 
-Everything operates on float64 numpy arrays. Matrices are row-major and kept
-dense: the largest instance handled anywhere is 100000 x 100 (about 80 MB),
-so sparse formats buy nothing. All functions are pure and safe to call from
-concurrent workers.
+Everything operates on float64 numpy arrays. A block M is n x k: one column
+of length n (the column count of A) per row that a restoration sweep
+collects, so blocks are small and kept dense. All functions are pure and safe
+to call from concurrent workers.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ GRAM_PIVOT_REL = 1e-10
 
 # Accepted solves must satisfy ||M^T M u - b||_2 <= GRAM_RESIDUAL_REL * (1 + ||b||_2).
 GRAM_RESIDUAL_REL = 1e-8
+
+# pruned_gram_solve drops every column of M shorter than this before factoring.
+TINY_COLUMN_NORM = 1e-10
 
 
 class SingularGram(Exception):
@@ -78,6 +81,14 @@ def _solve_cholesky(L: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarra
     return w
 
 
+def _checked(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    M = np.asarray(M, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if M.ndim != 2 or b.ndim != 1 or M.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: M is {M.shape}, b has length {b.shape}")
+    return M, b
+
+
 def gram_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve M^T M u = b by symmetric factorization with diagonal pivoting.
 
@@ -85,10 +96,7 @@ def gram_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     SingularGram when some pivot of M^T M falls below the relative floor,
     which signals a degenerate block of near-parallel columns.
     """
-    M = np.asarray(M, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if M.ndim != 2 or b.ndim != 1 or M.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: M is {M.shape}, b has length {b.shape}")
+    M, b = _checked(M, b)
     k = M.shape[1]
     if k == 0:
         return np.zeros(0)
@@ -113,24 +121,22 @@ def gram_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pruned_gram_solve(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Like gram_solve, but drops columns the pivoting rejects.
+    """Like gram_solve, but drops the columns it cannot use: first every column
+    shorter than TINY_COLUMN_NORM, then those the pivoting rejects.
 
     Returns (u, kept) where u is full length with zeros on dropped columns and
-    kept holds the indices of the columns actually solved. Raises SingularGram
-    only when no column survives.
+    kept holds the sorted indices of the columns actually solved. Raises
+    SingularGram only when no column survives.
     """
-    M = np.asarray(M, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if M.ndim != 2 or b.ndim != 1 or M.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: M is {M.shape}, b has length {b.shape}")
-    k = M.shape[1]
-    if k == 0:
-        raise SingularGram("empty block")
-    G = M.T @ M
-    L, perm, rank = _pivoted_cholesky(G)
+    M, b = _checked(M, b)
+    keep = np.nonzero(np.linalg.norm(M, axis=0) >= TINY_COLUMN_NORM)[0]
+    if keep.size == 0:
+        raise SingularGram("no column above the norm floor")
+    M = M[:, keep]
+    L, perm, rank = _pivoted_cholesky(M.T @ M)
     if rank == 0:
         raise SingularGram("no acceptable pivot in block")
-    w = _solve_cholesky(L, perm, b)
-    u = np.zeros(k)
-    u[perm[:rank]] = w
-    return u, np.sort(perm[:rank])
+    solved = keep[perm[:rank]]
+    u = np.zeros(b.size)
+    u[solved] = _solve_cholesky(L, perm, b[keep])
+    return u, np.sort(solved)

@@ -17,15 +17,13 @@ raises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .linalg import SingularGram, gram_solve, pruned_gram_solve
 from .solver import UNIT_COST_TOL
 from .stats import asymptotic_bound
-
-TINY_COLUMN_NORM = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class RestoreTrace:
     """A restoration's outcome: status and message as in the module
     docstring, and one record per completed sweep."""
 
-    initial_x: np.ndarray
     final_x: np.ndarray
     status: str
     message: str = ""
@@ -76,18 +73,8 @@ class RestoreTrace:
         return len(self.iterates)
 
 
-def restore(
-    A: np.ndarray,
-    c: np.ndarray,
-    opts: RestoreOptions = RestoreOptions(),
-    initial_x: Optional[np.ndarray] = None,
-) -> RestoreTrace:
-    """Repair feasibility of the scaled cost vector; see the module docstring.
-
-    initial_x overrides the default start (2 log(m/n))^{-1/2} c; hand checks
-    of a single sweep use this. The objective-preservation guarantee relates
-    final_x to whatever start was used.
-    """
+def restore(A: np.ndarray, c: np.ndarray, opts: RestoreOptions = RestoreOptions()) -> RestoreTrace:
+    """Repair feasibility of the scaled cost vector; see the module docstring."""
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
     if A.ndim != 2 or c.ndim != 1 or A.shape[1] != c.shape[0]:
@@ -98,48 +85,30 @@ def restore(
     if abs(float(np.linalg.norm(c)) - 1.0) > UNIT_COST_TOL:
         raise ValueError("c must have unit Euclidean norm")
 
-    if initial_x is None:
-        x0 = asymptotic_bound(m, n) * c
-    else:
-        x0 = np.asarray(initial_x, dtype=float).copy()
-        if x0.shape != (n,):
-            raise ValueError("initial_x has the wrong length")
-    x = x0.copy()
+    x = asymptotic_bound(m, n) * c
     eps = opts.eps0
     records: List[IterationRecord] = []
-
-    for _ in range(opts.max_iters):
+    # One check of A x per sweep, and one more after the last.
+    while True:
         values = A @ x
-        if float(values.max()) - 1.0 <= opts.feas_tol:
-            return RestoreTrace(initial_x=x0, final_x=x, status="converged", iterates=records)
+        converged = float(values.max()) - 1.0 <= opts.feas_tol
+        if converged or len(records) == opts.max_iters:
+            return RestoreTrace(final_x=x, status="converged" if converged else "non_converged", iterates=records)
         idx = np.nonzero(values > 1.0 - eps)[0]
         b = 1.0 - eps - values[idx]
         rows = A[idx]
-        V = rows - np.outer(rows @ c, c)
-        M = V.T
+        M = (rows - np.outer(rows @ c, c)).T
         try:
             u = gram_solve(M, b)
         except SingularGram:
-            col_norms = np.linalg.norm(V, axis=1)
-            keep = np.nonzero(col_norms >= TINY_COLUMN_NORM)[0]
-            u = np.zeros(idx.size)
             try:
-                if keep.size == 0:
-                    raise SingularGram("every correction direction is tiny")
-                u[keep], _ = pruned_gram_solve(M[:, keep], b[keep])
+                u, _ = pruned_gram_solve(M, b)
             except SingularGram:
                 message = f"sweep {len(records)}: {idx.size} rows, block singular after pruning"
-                return RestoreTrace(
-                    initial_x=x0, final_x=x, status="degenerate_block", message=message, iterates=records
-                )
+                return RestoreTrace(final_x=x, status="degenerate_block", message=message, iterates=records)
         step = M @ u
         records.append(
             IterationRecord(violated=int(idx.size), epsilon=eps, update_norm=float(np.linalg.norm(step)))
         )
         eps *= opts.shrink
         x = x + step
-
-    values = A @ x
-    status = "converged" if float(values.max()) - 1.0 <= opts.feas_tol else "non_converged"
-    return RestoreTrace(initial_x=x0, final_x=x, status=status, iterates=records)
-

@@ -10,8 +10,9 @@ flat-vector branch asserts a theoretical lower bound that is unattainable
 at any finite scale; it fails by design and prints the exact tail value it
 measured (see the assert message for the arithmetic).
 
-The full module takes roughly seven minutes on a 2-core machine (the whole
-suite ran in 440 s there); criterion 9 dominates (twenty thousand LP solves).
+The full module takes about two and a half minutes on a 2-vCPU machine (153 s;
+the whole suite ran in 203 s there); criterion 9 dominates (twenty thousand LP
+solves, 103 s).
 """
 
 import math

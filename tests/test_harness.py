@@ -293,6 +293,21 @@ class TestTableRunners:
             streams.setdefault(rec.arm, []).append(rec.stream_index)
         assert streams["baseline"] == streams["k=1"] == streams["k=2"]
 
+    def test_sparse_cost_empty_baseline_gives_nan_gaps(self, monkeypatch):
+        # Every baseline solve (a cost with no zero entry) is unbounded, so
+        # the baseline mean is NaN and so is each spike arm's gap to it.
+        def stub(inst):
+            if np.count_nonzero(inst.c) == inst.c.size:
+                return SolveOutcome(status="unbounded", pivots=0)
+            return solve(inst)
+
+        monkeypatch.setattr(harness, "solve", stub)
+        cfg = make_config(experiment="SparseCostTable", grid=[[40, 6]], k_values=[1, 2])
+        rows = run_campaign(cfg).rows
+        assert math.isnan(rows[0]["mu_hat"]) and rows[0]["relative_gap_pct"] == 0.0
+        for row in rows[1:]:
+            assert math.isfinite(row["mu_hat"]) and math.isnan(row["relative_gap_pct"])
+
     def test_sparse_cost_draws_each_matrix_once(self, monkeypatch):
         drawn = []
 
@@ -371,9 +386,8 @@ class TestTableRunners:
         x0 = np.zeros(5)
         violated = (5, 2, 1, 1, 1, 1, 1)
 
-        def stub(A, c, opts, initial_x=None):
+        def stub(A, c, opts):
             return RestoreTrace(
-                initial_x=x0,
                 final_x=x0,
                 status="non_converged",
                 iterates=[
@@ -392,14 +406,13 @@ class TestTableRunners:
 
     def test_algorithm_degenerate_block_counts_as_error(self, monkeypatch):
         trace = RestoreTrace(
-            initial_x=np.zeros(5),
             final_x=np.zeros(5),
             status="degenerate_block",
             message="stub degenerate",
             iterates=[IterationRecord(violated=3, epsilon=0.1, update_norm=0.5)],
         )
 
-        def stub(A, c, opts, initial_x=None):
+        def stub(A, c, opts):
             return trace
 
         monkeypatch.setattr(harness, "restore", stub)

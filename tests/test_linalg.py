@@ -11,6 +11,7 @@ from randlp import linalg
 from randlp.linalg import (
     GRAM_PIVOT_REL,
     GRAM_RESIDUAL_REL,
+    TINY_COLUMN_NORM,
     SingularGram,
     gram_solve,
     pruned_gram_solve,
@@ -107,12 +108,46 @@ class TestGramSolve:
             gram_solve(np.eye(2), np.ones(3))
 
     def test_ill_scaled_block(self):
-        # Columns with norms 1 and 1e-5 stay solvable; the pivot floor is
-        # relative, and refinement keeps the residual contract.
+        # Columns with norms 1 and 1e-5 stay solvable: the pivot floor is
+        # relative. The Gram matrix is diagonal, so one solve meets the
+        # residual contract without refinement.
         M = np.array([[1.0, 0.0], [0.0, 1e-5]])
         b = np.array([0.5, -2e-10])
         u = gram_solve(M, b)
         assert np.linalg.norm(b - M.T @ (M @ u)) <= GRAM_RESIDUAL_REL * (1.0 + np.linalg.norm(b))
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        solves = []
+        solve = linalg._solve_cholesky
+
+        def spy(L, perm, b):
+            solves.append(b.copy())
+            return solve(L, perm, b)
+
+        monkeypatch.setattr(linalg, "_solve_cholesky", spy)
+        return solves
+
+    def test_refinement_restores_residual_contract(self, monkeypatch):
+        # Two near-parallel columns scaled by 1000: the first solve misses the
+        # contract, and one refinement step on its residual meets it.
+        M = 1000.0 * np.array([[1.0, 1.0], [0.0, 1e-4]])
+        b = np.array([1.0, 0.0])
+        bound = GRAM_RESIDUAL_REL * (1.0 + np.linalg.norm(b))
+        solves = self.count_solves(monkeypatch)
+        u = gram_solve(M, b)
+        assert len(solves) == 2
+        assert np.linalg.norm(solves[1]) > bound
+        assert np.linalg.norm(b - (M.T @ M) @ u) <= bound
+
+    def test_unattainable_residual_contract_raises(self, monkeypatch):
+        # Closer columns pass the pivot floor, but even the refined solve
+        # misses the contract, so the block is reported as singular.
+        M = 1000.0 * np.array([[1.0, 1.0], [0.0, 3e-5]])
+        solves = self.count_solves(monkeypatch)
+        with pytest.raises(SingularGram, match="residual contract unattainable"):
+            gram_solve(M, np.array([1.0, 0.0]))
+        assert len(solves) == 2
 
 
 class TestPrunedGramSolve:
@@ -136,6 +171,18 @@ class TestPrunedGramSolve:
         u, kept = pruned_gram_solve(M, b)
         assert_allclose(kept, [0, 1, 2])
         assert_allclose(u, gram_solve(M, b), atol=1e-9)
+
+    def test_tiny_column_dropped_by_norm(self):
+        # Column 1 has norm 1e-12 < TINY_COLUMN_NORM. Against column 0's
+        # diagonal of 1e-18 its own of 1e-24 is far above the relative pivot
+        # floor, so only the norm rule drops it.
+        M = np.array([[1e-9, 0.0], [0.0, 1e-12]])
+        assert np.linalg.norm(M[:, 1]) < TINY_COLUMN_NORM <= np.linalg.norm(M[:, 0])
+        assert (M[1, 1] / M[0, 0]) ** 2 > GRAM_PIVOT_REL
+        u, kept = pruned_gram_solve(M, np.array([1e-18, 5.0]))
+        assert kept.tolist() == [0]
+        assert u[1] == 0.0
+        assert_allclose(u[0], 1.0, rtol=1e-12)
 
     def test_all_tiny_raises(self):
         with pytest.raises(SingularGram):

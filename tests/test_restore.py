@@ -10,9 +10,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from randlp import linalg
-from randlp.restore import RestoreOptions, restore
+from randlp import restore as restore_module
+from randlp.restore import IterationRecord, RestoreOptions, restore
 from randlp.sampling import CostVectorKind, EntryDistribution, SeedSpec, sample_cost_vector, sample_matrix
 from randlp.solver import check_feasible
+from randlp.stats import asymptotic_bound
 from test_linalg import swap_pivoted_cholesky
 
 E1 = np.array([1.0, 0.0])
@@ -50,23 +52,23 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             restore(np.ones((3, 2)), np.array([2.0, 0.0]))
 
-    def test_initial_x_length(self):
-        A = np.array([[2.0, 1.0], [0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(ValueError):
-            restore(A, E1, initial_x=np.zeros(3))
-
 
 class TestHandSweep:
-    A = np.array([[2.0, 1.0], [0.0, -1.0], [-1.0, 0.0]])
+    # The start is ab * e1 with ab = asymptotic_bound(3, 2). Scaling the first
+    # column by 0.6 / ab makes each row's value there its value at (0.6, 0)
+    # in the unscaled matrix [[2, 1], [0, -1], [-1, 0]].
+    AB = asymptotic_bound(3, 2)
+    A = np.array([[2.0 * 0.6 / AB, 1.0], [0.0, -1.0], [-0.6 / AB, 0.0]])
 
     def test_single_block_step(self):
-        # From (0.6, 0) only row (2,1) is over 1 - 0.1; its correction
+        # At the start only row 0 (value 1.2) is over 1 - 0.1; its correction
         # direction is (0,1), the block solve gives u = -0.3, and the row
         # lands exactly on 0.9.
-        trace = restore(self.A, E1, initial_x=np.array([0.6, 0.0]))
+        assert_allclose(self.A @ (self.AB * E1), [1.2, 0.0, -0.6], atol=1e-12)
+        trace = restore(self.A, E1)
         assert trace.converged
         assert trace.iterations == 1
-        assert_allclose(trace.final_x, [0.6, -0.3], atol=1e-12)
+        assert_allclose(trace.final_x, [self.AB, -0.3], atol=1e-12)
         assert_allclose(self.A @ trace.final_x, [0.9, 0.3, -0.6], atol=1e-12)
         rec = trace.iterates[0]
         assert rec.violated == 1
@@ -74,8 +76,8 @@ class TestHandSweep:
         assert_allclose(rec.update_norm, 0.3, atol=1e-12)
 
     def test_objective_unchanged_by_sweep(self):
-        trace = restore(self.A, E1, initial_x=np.array([0.6, 0.0]))
-        assert abs(float(np.dot(E1, trace.final_x - trace.initial_x))) <= 1e-12
+        trace = restore(self.A, E1)
+        assert abs(float(np.dot(E1, trace.final_x - self.AB * E1))) <= 1e-12
 
     def test_already_feasible(self):
         A = np.array([[-1.0, 0.0], [0.0, -1.0], [-0.5, -0.5]])
@@ -83,7 +85,7 @@ class TestHandSweep:
         assert trace.converged
         assert trace.iterations == 0
         assert trace.iterates == []
-        assert_array_equal(trace.final_x, trace.initial_x)
+        assert_array_equal(trace.final_x, asymptotic_bound(3, 2) * E1)
 
 
 class TestSeededRuns:
@@ -91,7 +93,7 @@ class TestSeededRuns:
         for master in range(10):
             A, c = gaussian_instance(400, 30, master)
             trace = restore(A, c)
-            assert abs(float(np.dot(c, trace.final_x - trace.initial_x))) <= 1e-10
+            assert abs(float(np.dot(c, trace.final_x - asymptotic_bound(400, 30) * c))) <= 1e-10
 
     def test_convergence_certificate(self):
         for master in range(10):
@@ -116,7 +118,7 @@ class TestSeededRuns:
             full = restore(A, c)
             assert full.converged and full.iterations >= 2
             row_norms = np.linalg.norm(A, axis=1)
-            x_prev = full.initial_x
+            x_prev = asymptotic_bound(1000, 50) * c
             for j in range(1, full.iterations + 1):
                 eps = 0.1 * 0.1 ** (j - 1)
                 block = np.nonzero(A @ x_prev > 1.0 - eps)[0]
@@ -127,11 +129,23 @@ class TestSeededRuns:
                 assert float(np.max(err / (1.0 + row_norms[block]))) <= 1e-7
                 x_prev = x_j
 
-    def test_initial_scaling(self):
+    def test_initial_scaling(self, monkeypatch):
+        # The first sweep's right-hand side is 1 - eps0 - A x0 on the rows
+        # over 1 - eps0, so it pins the start x0 = (2 log(m/n))^{-1/2} c.
         A, c = gaussian_instance(1000, 50, 1)
-        trace = restore(A, c)
         scale = (2.0 * math.log(1000 / 50)) ** -0.5
-        assert_allclose(trace.initial_x, scale * c, atol=1e-15)
+        assert_allclose(asymptotic_bound(1000, 50), scale, rtol=0.0, atol=1e-15)
+        rhs = []
+
+        def spy(M, b):
+            rhs.append(b.copy())
+            return linalg.gram_solve(M, b)
+
+        monkeypatch.setattr(restore_module, "gram_solve", spy)
+        trace = restore(A, c)
+        assert trace.iterations >= 1 and len(rhs) == trace.iterations
+        values = A @ (asymptotic_bound(1000, 50) * c)
+        assert rhs[0].tobytes() == (1.0 - 0.1 - values[values > 1.0 - 0.1]).tobytes()
 
 
 class TestNonConvergence:
@@ -152,7 +166,7 @@ class TestNonConvergence:
         assert not trace.converged
         assert trace.iterations == 50
         # The objective is still preserved on the partial result.
-        assert abs(float(np.dot(c, trace.final_x - trace.initial_x))) <= 1e-10
+        assert abs(float(np.dot(c, trace.final_x - asymptotic_bound(1000, 50) * c))) <= 1e-10
 
 
 class TestGramFactorIdentity:
@@ -186,6 +200,32 @@ class TestDegenerateBlock:
         assert not trace.converged
         assert trace.iterations == 1
         assert trace.iterates[0].violated == 2
+
+    def test_tiny_direction_pruned_by_norm(self, monkeypatch):
+        # Row (2, 1e-12) is almost parallel to c: its correction direction
+        # has norm 1e-12, under linalg.TINY_COLUMN_NORM. Sweep 1's block pairs
+        # it with row (1, 1), so gram_solve finds it singular and
+        # pruned_gram_solve drops the tiny column and solves the other one.
+        # Sweep 2 repairs the tiny row alone, with a huge step along it.
+        solved = []
+
+        def spy(M, b):
+            u, kept = linalg.pruned_gram_solve(M, b)
+            solved.append((M.shape, u.copy(), kept.tolist()))
+            return u, kept
+
+        monkeypatch.setattr(restore_module, "pruned_gram_solve", spy)
+        A = np.array([[2.0, 1e-12], [1.0, 1.0], [-1.0, 0.0]])
+        trace = restore(A, E1)
+        assert trace.status == "converged" and trace.message == ""
+        assert [(shape, kept) for shape, _, kept in solved] == [((2, 2), [1])]
+        assert solved[0][1][0] == 0.0
+        assert trace.iterates == [
+            IterationRecord(violated=2, epsilon=0.1, update_norm=0.21047365173074495),
+            IterationRecord(violated=1, epsilon=0.1 * 0.1, update_norm=1230947303461.2795),
+        ]
+        assert trace.final_x.tobytes().hex() == "490d140580c4f13fd75702d4a2e971c2"
+        assert check_feasible(A, trace.final_x) <= 1e-12
 
 
 class TestObjectiveOf:

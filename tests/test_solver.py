@@ -490,6 +490,31 @@ class TestPivotUpdates:
                 certify_optimal(inst, every)
                 assert abs(every.z_star - out.z_star) <= 1e-12, (dist.kind, seed)
 
+    @pytest.mark.parametrize("m, n", [(40, 5), (2000, 40), (6000, 150)])
+    def test_drift_refactor(self, monkeypatch, m, n):
+        # No tested solve drifts past RESIDUAL_REFACTOR, so a threshold of -1
+        # stands in for drift: every residual check then refactors, clips x_B
+        # and recomputes pi, and the solve must still reach the same optimum.
+        refactor = solver._Basis.refactor
+        for seed, dist in enumerate(ENTRY_LAWS):
+            inst = sample_instance(dist, m, n, seed)
+            out = solve(inst)
+            refactors = []
+
+            def spy(basis):
+                refactors.append(basis.m)
+                refactor(basis)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(solver._Basis, "refactor", spy)
+                patch.setattr(solver, "RESIDUAL_REFACTOR", -1.0)
+                drifted = solve(inst)
+            assert len(refactors) >= drifted.pivots // solver.RESIDUAL_CHECK, (dist.kind, seed)
+            assert drifted.status == out.status, (dist.kind, seed)
+            if out.status == "optimal":
+                certify_optimal(inst, drifted)
+                assert abs(drifted.z_star - out.z_star) <= 1e-12, (dist.kind, seed)
+
 
 # The update rules the solver used before B^-1, x_B and pi became one extended
 # inverse: separate updates of B^-1 and x_B in the basis, and of pi in the

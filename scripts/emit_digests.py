@@ -2,15 +2,19 @@
 
 Usage:
     python3 scripts/emit_digests.py [--root CHECKOUT] > digests.txt
+    python3 scripts/emit_digests.py [--root CHECKOUT] --against OTHER
 
 The campaigns are every config in CHECKOUT/perfbench/configs, read in place
 and never written, plus one small config per kind in CHECKOUT's
-randlp.harness.KINDS. randlp is imported from CHECKOUT/src, so running the
-script once against each of two checkouts and diffing the outputs shows
-whether a change moved any emitted byte. Each output line reads
-`<campaign>/<file> <sha256>`; records.jsonl is digested with its wall_time
-fields dropped, the only field that may differ between identical runs.
-BLAS runs on one thread, as it does under the randlp command.
+randlp.harness.KINDS. randlp is imported from CHECKOUT/src. Each output line
+reads `<campaign>/<file> <sha256>`; records.jsonl is digested with its
+wall_time fields dropped, the only field that may differ between identical
+runs. BLAS runs on one thread, as it does under the randlp command.
+
+With --against, the script also digests OTHER, in a subprocess running this
+script with --root OTHER, and prints only the lines that differ: "- " before
+OTHER's, "+ " before CHECKOUT's. It exits 1 when any do, so whether a change
+moved an emitted byte is one command with an exit code.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -54,18 +59,14 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1], help="checkout to run")
-    root = parser.parse_args().root.resolve()
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
+def digest_lines(root: Path):
+    """Yield one `<campaign>/<file> <sha256>` line per file root's campaigns emit."""
     sys.path.insert(0, str(root / "src"))
     from randlp.config import config_from_mapping, load_config
     from randlp.harness import KINDS, emit, run_campaign
 
     if set(SMALL_CONFIGS) != set(KINDS):
-        parser.error(f"small configs cover {sorted(SMALL_CONFIGS)}, but the kinds are {sorted(KINDS)}")
+        raise SystemExit(f"small configs cover {sorted(SMALL_CONFIGS)}, but the kinds are {sorted(KINDS)}")
     campaigns = [(path.stem, load_config(str(path))) for path in sorted((root / "perfbench" / "configs").glob("*.yaml"))]
     for kind, raw in sorted(SMALL_CONFIGS.items()):
         campaigns.append((f"small_{kind}", config_from_mapping(dict(raw, experiment=kind, master_seed=11))))
@@ -74,8 +75,31 @@ def main() -> int:
             out = Path(scratch) / name
             emit(config, run_campaign(config), output_dir=str(out))
             for path in sorted(out.iterdir()):
-                print(f"{name}/{path.name} {file_digest(path)}", flush=True)
-    return 0
+                yield f"{name}/{path.name} {file_digest(path)}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1], help="checkout to run")
+    parser.add_argument("--against", type=Path, help="checkout to compare with; print only the lines that differ")
+    args = parser.parse_args()
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    if args.against is None:
+        for line in digest_lines(args.root.resolve()):
+            print(line, flush=True)
+        return 0
+    other = subprocess.Popen(
+        [sys.executable, __file__, "--root", str(args.against.resolve())], stdout=subprocess.PIPE, text=True
+    )
+    ours = list(digest_lines(args.root.resolve()))
+    theirs = other.communicate()[0].splitlines()
+    if other.returncode != 0:
+        raise SystemExit(f"digesting {args.against} failed with exit code {other.returncode}")
+    differ = [f"- {line}" for line in theirs if line not in ours] + [f"+ {line}" for line in ours if line not in theirs]
+    for line in differ:
+        print(line)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -69,6 +69,8 @@ class RunRecord:
     i1: Optional[int] = None
     converged: Optional[bool] = None
     iterates: Optional[List[Dict[str, float]]] = None
+    # The threshold of a TailCheck case.
+    t: Optional[float] = None
 
     def to_json(self) -> str:
         payload = {k: v for k, v in vars(self).items() if v is not None}
@@ -326,7 +328,7 @@ def _tail_task(task: Tuple) -> Tuple[dict, RunRecord]:
     }
     record = RunRecord(
         m=case.trials, n=case.n, replicate_index=0, stream_index=spec.stream_index,
-        z_star=est.p_hat, pivots=0, wall_time=wall, status="optimal",
+        z_star=est.p_hat, pivots=0, wall_time=wall, status="optimal", t=t,
     )
     return row, record
 

@@ -11,6 +11,11 @@ the equality rows at optimality are the primal optimizer x*, and y itself is
 the dual certificate. Phase-1 infeasibility (c outside the conical hull of
 the rows of A) is exactly primal unboundedness and is reported with a ray.
 
+One _Basis holds the whole state of a solve, and phase 2 takes it over
+from phase 1: the extended inverse below, the pivot counts, Bland's switch
+and the working set. Every failure leaves solve by one exit, a
+"numerical_failure" outcome with the pivots made so far and the reason.
+
 Pricing is Dantzig (most negative reduced cost) over a working set of
 y-columns. At the optimum only n of the m rows of A carry weight, so each
 pivot prices just the rows in the set. When none of them improves, a full
@@ -151,6 +156,10 @@ def duality_gap(inst: LPInstance, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(y) - np.dot(inst.c, x))
 
 
+class _NumericalFailure(Exception):
+    """A solve that cannot finish or certify its outcome; the message says why."""
+
+
 class _Basis:
     """Basis bookkeeping for the dual standard form.
 
@@ -162,6 +171,11 @@ class _Basis:
     pi are kept as one extended inverse T = [[B^-1, x_B], [pi, .]] of order
     n + 1; Binv, xB and pi are views of it, so the one rank-1 update of T in
     swap moves all three.
+
+    It also holds the solve's counters pivots and degenerate, the flag bland,
+    and the working set: the row mask in_set (None when the set never forms),
+    its sorted indices set_rows and their rows of A, set_A, gathered at each
+    refill and None before the first.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray):
@@ -181,6 +195,12 @@ class _Basis:
         self.outer = np.empty((n + 1, n + 1))
         self.in_basis = np.zeros(self.m + n, dtype=bool)
         self.in_basis[self.basis] = True
+        self.pivots = 0
+        self.degenerate = 0
+        self.bland = False
+        self.in_set = np.zeros(self.m, dtype=bool) if WORKING_SET * n < self.m else None
+        self.set_rows = None
+        self.set_A = None
 
     def refactor(self) -> None:
         """Rebuild the inverse and basic values from scratch."""
@@ -224,8 +244,8 @@ def _multipliers(basis: _Basis, phase: int) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _run_phase(basis: _Basis, phase: int, state: dict) -> str:
-    """Run one simplex phase to optimality. Returns "optimal" or a failure tag.
+def _run_phase(basis: _Basis, phase: int) -> None:
+    """Run one simplex phase to optimality, or raise _NumericalFailure.
 
     The ratio test divides by every entry of the ftran column, so division
     by zero is expected and masked afterwards, not warned about."""
@@ -233,16 +253,6 @@ def _run_phase(basis: _Basis, phase: int, state: dict) -> str:
     degenerate_budget = DEGENERATE_BUDGET * (m + n)
     max_pivots = PIVOT_BUDGET * (m + n)
     refill = WORKING_SET * n
-    # The working set as a row mask (state["in_set"], None when it never
-    # forms); its sorted indices and rows of A are gathered at the start of
-    # the phase and once per refill.
-    in_set = state["in_set"]
-    rows = None
-    A_rows = None
-    if in_set is not None and in_set.any():
-        rows = np.flatnonzero(in_set)
-        A_rows = basis.A[rows]
-    pivots, degenerate, bland = state["pivots"], state["degenerate"], state["bland"]
     # The entering column's ftran d = B^-1 a_j, extended by minus its reduced
     # cost, is the pivot column of the extended inverse.
     d_aug = np.empty(n + 1)
@@ -250,77 +260,75 @@ def _run_phase(basis: _Basis, phase: int, state: dict) -> str:
     ratios = np.empty(n)
     pi = basis.pi
     pi[...] = _multipliers(basis, phase)
-    try:
-        while True:
-            if pivots >= max_pivots:
-                return "pivot_budget"
-            j = -1
-            if rows is not None and not bland:
-                r = _price(A_rows, pi, phase)
+    while True:
+        if basis.pivots >= max_pivots:
+            raise _NumericalFailure(f"phase {phase}: pivot_budget")
+        j = -1
+        if basis.set_rows is not None and not basis.bland:
+            rows = basis.set_rows
+            r = _price(basis.set_A, pi, phase)
+            i = int(r.argmin())
+            # A first minimum at a nonbasic column is also the first minimum
+            # once basic columns are masked, so mask only when the argmin
+            # falls on a basic one.
+            if basis.in_basis[rows[i]]:
+                r[basis.in_basis[rows]] = np.inf
                 i = int(r.argmin())
-                # A first minimum at a nonbasic column is also the first
-                # minimum once basic columns are masked, so mask only when
-                # the argmin falls on a basic one.
-                if basis.in_basis[rows[i]]:
-                    r[basis.in_basis[rows]] = np.inf
-                    i = int(r.argmin())
-                if r[i] < -REDUCED_COST_TOL:
-                    j = int(rows[i])
-                    r_j = float(r[i])
-            if j < 0:
-                pi[...] = _multipliers(basis, phase)
-                r = _price(basis.A, pi, phase)
-                # Columns already in the basis are never candidates.
-                r[basis.in_basis[:m]] = np.inf
-                if bland:
-                    cand = np.flatnonzero(r < -REDUCED_COST_TOL)
-                    if cand.size == 0:
-                        return "optimal"
-                    j = int(cand[0])
-                else:
-                    j = int(r.argmin())
-                    if r[j] >= -REDUCED_COST_TOL:
-                        return "optimal"
-                    if in_set is not None:
-                        best = np.argpartition(r, refill)[:refill]
-                        in_set[best[r[best] < -REDUCED_COST_TOL]] = True
-                        rows = np.flatnonzero(in_set)
-                        A_rows = basis.A[rows]
-                r_j = float(r[j])
-            np.matmul(basis.Binv, basis.A[j], out=d)
-            # Only rows with d_i > PIVOT_TOL can block; a NaN in d never does.
-            np.divide(basis.xB, d, out=ratios)
-            ratios[~(d > PIVOT_TOL)] = np.inf
-            pos = int(ratios.argmin())
-            theta = float(ratios[pos])
-            if theta == np.inf:
-                # The standard form is bounded below by 0, so this is numeric dirt.
-                return "no_pivot_row"
-            theta = max(theta, 0.0)
-            if bland:
-                ties = np.flatnonzero(ratios <= theta)
-                pos = int(ties[basis.basis[ties].argmin()])
-            if theta < 1e-12:
-                degenerate += 1
-                if degenerate > degenerate_budget:
-                    bland = True
-            d_aug[n] = -r_j
-            basis.swap(pos, j, d_aug, theta)
-            pivots += 1
-            if pivots % RESIDUAL_CHECK == 0 and basis.residual() > RESIDUAL_REFACTOR:
-                basis.refactor()
-                np.clip(basis.xB, 0.0, None, out=basis.xB)
-                pi[...] = _multipliers(basis, phase)
-    finally:
-        state["pivots"], state["degenerate"], state["bland"] = pivots, degenerate, bland
+            if r[i] < -REDUCED_COST_TOL:
+                j = int(rows[i])
+                r_j = float(r[i])
+        if j < 0:
+            pi[...] = _multipliers(basis, phase)
+            r = _price(basis.A, pi, phase)
+            # Columns already in the basis are never candidates.
+            r[basis.in_basis[:m]] = np.inf
+            if basis.bland:
+                cand = np.flatnonzero(r < -REDUCED_COST_TOL)
+                if cand.size == 0:
+                    return
+                j = int(cand[0])
+            else:
+                j = int(r.argmin())
+                if r[j] >= -REDUCED_COST_TOL:
+                    return
+                if basis.in_set is not None:
+                    best = np.argpartition(r, refill)[:refill]
+                    basis.in_set[best[r[best] < -REDUCED_COST_TOL]] = True
+                    basis.set_rows = np.flatnonzero(basis.in_set)
+                    basis.set_A = basis.A[basis.set_rows]
+            r_j = float(r[j])
+        np.matmul(basis.Binv, basis.A[j], out=d)
+        # Only rows with d_i > PIVOT_TOL can block; a NaN in d never does.
+        np.divide(basis.xB, d, out=ratios)
+        ratios[~(d > PIVOT_TOL)] = np.inf
+        pos = int(ratios.argmin())
+        theta = float(ratios[pos])
+        if theta == np.inf:
+            # The standard form is bounded below by 0, so this is numeric dirt.
+            raise _NumericalFailure(f"phase {phase}: no_pivot_row")
+        theta = max(theta, 0.0)
+        if basis.bland:
+            ties = np.flatnonzero(ratios <= theta)
+            pos = int(ties[basis.basis[ties].argmin()])
+        if theta < 1e-12:
+            basis.degenerate += 1
+            if basis.degenerate > degenerate_budget:
+                basis.bland = True
+        d_aug[n] = -r_j
+        basis.swap(pos, j, d_aug, theta)
+        basis.pivots += 1
+        if basis.pivots % RESIDUAL_CHECK == 0 and basis.residual() > RESIDUAL_REFACTOR:
+            basis.refactor()
+            np.clip(basis.xB, 0.0, None, out=basis.xB)
+            pi[...] = _multipliers(basis, phase)
 
 
-def _drive_out_artificials(basis: _Basis, state: dict) -> None:
+def _drive_out_artificials(basis: _Basis) -> None:
     """Pivot basic artificials out where possible; leftovers mark redundant rows."""
     # A zero last entry leaves pi alone: phase 2 computes its own at its start.
     d_aug = np.zeros(basis.n + 1)
     d = d_aug[: basis.n]
-    pivoted = False
+    start = basis.pivots
     for pos in range(basis.n):
         if basis.basis[pos] < basis.m:
             continue
@@ -332,15 +340,14 @@ def _drive_out_artificials(basis: _Basis, state: dict) -> None:
             continue
         np.matmul(basis.Binv, basis.A[j], out=d)
         basis.swap(pos, j, d_aug, float(basis.xB[pos] / d[pos]))
-        state["pivots"] += 1
-        pivoted = True
+        basis.pivots += 1
     # solve refactored this basis just before; only a pivot makes it stale.
-    if pivoted:
+    if basis.pivots > start:
         basis.refactor()
     np.clip(basis.xB, 0.0, None, out=basis.xB)
 
 
-def _extract_optimal(inst: LPInstance, basis: _Basis, pivots: int) -> SolveOutcome:
+def _extract_optimal(inst: LPInstance, basis: _Basis) -> SolveOutcome:
     basis.refactor()
     y = np.zeros(basis.m)
     y_positions = basis.basis < basis.m
@@ -358,35 +365,23 @@ def _extract_optimal(inst: LPInstance, basis: _Basis, pivots: int) -> SolveOutco
         or dual_resid > DUAL_RESIDUAL_TOL
         or gap > DUALITY_GAP_TOL
     ):
-        return SolveOutcome(
-            status="numerical_failure",
-            pivots=pivots,
-            message=(
-                f"certificate check failed: viol={max_viol:.3e} "
-                f"dual_resid={dual_resid:.3e} gap={gap:.3e} art={artificial_mass:.3e}"
-            ),
+        raise _NumericalFailure(
+            f"certificate check failed: viol={max_viol:.3e} "
+            f"dual_resid={dual_resid:.3e} gap={gap:.3e} art={artificial_mass:.3e}"
         )
-    return SolveOutcome(status="optimal", pivots=pivots, z_star=z, x_star=x, y_star=y)
+    return SolveOutcome(status="optimal", pivots=basis.pivots, z_star=z, x_star=x, y_star=y)
 
 
-def _extract_unbounded(inst: LPInstance, basis: _Basis, pivots: int) -> SolveOutcome:
+def _extract_unbounded(inst: LPInstance, basis: _Basis) -> SolveOutcome:
     """Certify a ray from phase 1's multipliers; solve refactors basis first."""
     pi = _multipliers(basis, 1)
     along_c = float(np.dot(inst.c, pi))
     if along_c <= 0.0:
-        return SolveOutcome(
-            status="numerical_failure",
-            pivots=pivots,
-            message="phase-1 multipliers degenerate; no ray certificate",
-        )
+        raise _NumericalFailure("phase-1 multipliers degenerate; no ray certificate")
     ray = pi / along_c
     if float(np.max(inst.A @ ray)) > FEAS_TOL:
-        return SolveOutcome(
-            status="numerical_failure",
-            pivots=pivots,
-            message="ray certificate violates A d <= 0 beyond tolerance",
-        )
-    return SolveOutcome(status="unbounded", pivots=pivots, ray=ray)
+        raise _NumericalFailure("ray certificate violates A d <= 0 beyond tolerance")
+    return SolveOutcome(status="unbounded", pivots=basis.pivots, ray=ray)
 
 
 def solve(inst: LPInstance) -> SolveOutcome:
@@ -396,28 +391,22 @@ def solve(inst: LPInstance) -> SolveOutcome:
     or a basis found singular, comes back as status "numerical_failure" with a
     diagnostic message.
     """
-    m, n = inst.m, inst.n
     signs = np.where(inst.c >= 0.0, 1.0, -1.0)
-    u = np.modf(np.arange(1, n + 1) * 0.6180339887498949)[0]
+    u = np.modf(np.arange(1, inst.n + 1) * 0.6180339887498949)[0]
     basis = _Basis(inst.A, inst.c + PERTURB * signs * u)
-    in_set = np.zeros(m, dtype=bool) if WORKING_SET * n < m else None
-    state = {"pivots": 0, "degenerate": 0, "bland": False, "in_set": in_set}
-
     try:
-        tag = _run_phase(basis, 1, state)
-        if tag != "optimal":
-            return SolveOutcome(status="numerical_failure", pivots=state["pivots"], message=f"phase 1: {tag}")
+        _run_phase(basis, 1)
         basis.b = inst.c
         basis.refactor()
-        phase1_objective = float(np.sum(basis.xB[basis.basis >= m]))
+        phase1_objective = float(np.sum(basis.xB[basis.basis >= inst.m]))
         if phase1_objective > FEAS_TOL * max(1.0, float(np.linalg.norm(inst.c))):
-            return _extract_unbounded(inst, basis, state["pivots"])
-
-        _drive_out_artificials(basis, state)
-        tag = _run_phase(basis, 2, state)
-        if tag != "optimal":
-            return SolveOutcome(status="numerical_failure", pivots=state["pivots"], message=f"phase 2: {tag}")
-        return _extract_optimal(inst, basis, state["pivots"])
+            return _extract_unbounded(inst, basis)
+        _drive_out_artificials(basis)
+        _run_phase(basis, 2)
+        return _extract_optimal(inst, basis)
+    except _NumericalFailure as exc:
+        message = str(exc)
     except np.linalg.LinAlgError as exc:
         # Raised by a refactor of a basis that has turned singular.
-        return SolveOutcome(status="numerical_failure", pivots=state["pivots"], message=f"singular basis: {exc}")
+        message = f"singular basis: {exc}"
+    return SolveOutcome(status="numerical_failure", pivots=basis.pivots, message=message)

@@ -16,13 +16,14 @@ import json
 import math
 import os
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from randlp import cli, harness
-from randlp.config import config_from_mapping
+from randlp.config import config_from_mapping, load_config
 from randlp.geometry import mean_width_mc
 from randlp.harness import (
     LANE_AUX,
@@ -155,6 +156,20 @@ class TestRecordJson:
             assert rec.to_json() == text
             assert rec == before
         assert json.loads(failed.to_json())["z_star"] is None
+
+    def test_tail_records_name_their_threshold(self):
+        # Both configs draw the same stream at n = 400, and t = 1.8 and t = 1.75
+        # have the same exact tail, so only t tells their records apart.
+        configs = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+        payloads = []
+        for name in ("tail_probe", "tail_rademacher"):
+            (record,) = run_campaign(load_config(str(configs / f"{name}.yaml"))).records
+            payload = json.loads(record.to_json())
+            payload.pop("wall_time")
+            payloads.append(payload)
+        probe, rademacher = payloads
+        assert (probe.pop("t"), rademacher.pop("t")) == (1.8, 1.75)
+        assert probe == rademacher
 
 
 class TestStubSolver:

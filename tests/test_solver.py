@@ -289,10 +289,9 @@ class TestWorkingSetPricing:
         engaged = []
         run_phase = solver._run_phase
 
-        def spy(basis, phase, state):
-            tag = run_phase(basis, phase, state)
-            engaged.append(state["bland"])
-            return tag
+        def spy(basis, phase):
+            run_phase(basis, phase)
+            engaged.append(basis.bland)
 
         for seed in range(3):
             inst = sample_instance(EntryDistribution.rademacher(), 4000, 20, seed)
@@ -421,13 +420,12 @@ class TestPivotUpdates:
         current = {}
         run_phase, price, multipliers = solver._run_phase, solver._price, solver._multipliers
 
-        def phase_spy(basis, phase, state):
+        def phase_spy(basis, phase):
             current["basis"] = basis
-            entry_set = None if state["in_set"] is None else state["in_set"].copy()
-            tag = run_phase(basis, phase, state)
-            exit_set = None if state["in_set"] is None else state["in_set"].copy()
+            entry_set = None if basis.in_set is None else basis.in_set.copy()
+            run_phase(basis, phase)
+            exit_set = None if basis.in_set is None else basis.in_set.copy()
             current.setdefault("sets", []).append((phase, entry_set, exit_set))
-            return tag
 
         def price_spy(rows, pi, phase):
             basis = current["basis"]
@@ -534,6 +532,10 @@ class _SeparateBasis:
         self.xB = np.abs(c).astype(float)
         self.in_basis = np.zeros(self.m + self.n, dtype=bool)
         self.in_basis[self.basis] = True
+        self.pivots = 0
+        self.degenerate = 0
+        self.bland = False
+        self.in_set = np.zeros(self.m, dtype=bool) if solver.WORKING_SET * self.n < self.m else None
 
     def refactor(self):
         self.Binv = np.linalg.inv(self.Bmat)
@@ -556,12 +558,12 @@ class _SeparateBasis:
         self.Binv[pos] = pivrow
 
 
-def _separate_run_phase(basis, phase, state):
+def _separate_run_phase(basis, phase):
     m = basis.m
     degenerate_budget = solver.DEGENERATE_BUDGET * (m + basis.n)
     max_pivots = solver.PIVOT_BUDGET * (m + basis.n)
     refill = solver.WORKING_SET * basis.n
-    in_set = state["in_set"]
+    in_set = basis.in_set
     rows = None
     A_rows = None
     if in_set is not None and in_set.any():
@@ -570,10 +572,10 @@ def _separate_run_phase(basis, phase, state):
     ratios = np.empty(basis.n)
     pi = solver._multipliers(basis, phase)
     while True:
-        if state["pivots"] >= max_pivots:
-            return "pivot_budget"
+        if basis.pivots >= max_pivots:
+            raise solver._NumericalFailure(f"phase {phase}: pivot_budget")
         j = -1
-        if rows is not None and not state["bland"]:
+        if rows is not None and not basis.bland:
             r = solver._price(A_rows, pi, phase)
             r[basis.in_basis[rows]] = np.inf
             i = int(r.argmin())
@@ -584,15 +586,15 @@ def _separate_run_phase(basis, phase, state):
             pi = solver._multipliers(basis, phase)
             r = solver._price(basis.A, pi, phase)
             r[basis.in_basis[:m]] = np.inf
-            if state["bland"]:
+            if basis.bland:
                 cand = np.flatnonzero(r < -solver.REDUCED_COST_TOL)
                 if cand.size == 0:
-                    return "optimal"
+                    return
                 j = int(cand[0])
             else:
                 j = int(r.argmin())
                 if r[j] >= -solver.REDUCED_COST_TOL:
-                    return "optimal"
+                    return
                 if in_set is not None:
                     best = np.argpartition(r, refill)[:refill]
                     in_set[best[r[best] < -solver.REDUCED_COST_TOL]] = True
@@ -602,10 +604,10 @@ def _separate_run_phase(basis, phase, state):
         d = basis.Binv @ basis.A[j]
         pos_mask = d > solver.PIVOT_TOL
         if not pos_mask.any():
-            return "no_pivot_row"
+            raise solver._NumericalFailure(f"phase {phase}: no_pivot_row")
         ratios.fill(np.inf)
         np.divide(basis.xB, d, out=ratios, where=pos_mask)
-        if state["bland"]:
+        if basis.bland:
             theta = max(float(ratios.min()), 0.0)
             ties = np.flatnonzero(ratios <= theta)
             pos = int(ties[basis.basis[ties].argmin()])
@@ -613,13 +615,12 @@ def _separate_run_phase(basis, phase, state):
             pos = int(ratios.argmin())
             theta = max(float(ratios[pos]), 0.0)
         if theta < 1e-12:
-            state["degenerate"] += 1
-            if state["degenerate"] > degenerate_budget:
-                state["bland"] = True
+            basis.degenerate += 1
+            if basis.degenerate > degenerate_budget:
+                basis.bland = True
         basis.swap(pos, j, d, theta)
-        state["pivots"] += 1
-        pivots = state["pivots"]
-        if pivots % solver.RESIDUAL_CHECK == 0 and basis.residual() > solver.RESIDUAL_REFACTOR:
+        basis.pivots += 1
+        if basis.pivots % solver.RESIDUAL_CHECK == 0 and basis.residual() > solver.RESIDUAL_REFACTOR:
             basis.refactor()
             np.clip(basis.xB, 0.0, None, out=basis.xB)
             pi = solver._multipliers(basis, phase)
@@ -627,7 +628,7 @@ def _separate_run_phase(basis, phase, state):
             pi += r_j * basis.Binv[pos]
 
 
-def _separate_drive_out(basis, state):
+def _separate_drive_out(basis):
     for pos in range(basis.n):
         if basis.basis[pos] < basis.m:
             continue
@@ -639,7 +640,7 @@ def _separate_drive_out(basis, state):
             continue
         d = basis.Binv @ basis.A[j]
         basis.swap(pos, j, d, float(basis.xB[pos] / d[pos]))
-        state["pivots"] += 1
+        basis.pivots += 1
     basis.refactor()
     np.clip(basis.xB, 0.0, None, out=basis.xB)
 
@@ -705,10 +706,9 @@ class TestPivotPath:
         bland = []
         run_phase = solver._run_phase
 
-        def spy(basis, phase, state):
-            tag = run_phase(basis, phase, state)
-            bland.append(state["bland"])
-            return tag
+        def spy(basis, phase):
+            run_phase(basis, phase)
+            bland.append(basis.bland)
 
         monkeypatch.setattr(solver, "_run_phase", spy)
         outcome = self.assert_pinned(monkeypatch, sample_instance(EntryDistribution.rademacher(), 4000, 20, 0))
@@ -727,6 +727,99 @@ class TestSingularBasis:
         # Phase 1 pivots before its closing refactor.
         assert out.pivots > 0
         assert out.z_star is None and out.ray is None
+
+
+# Each way a solve can fail: (solver constant, its value, instance, message,
+# whether the message is exact or only its prefix, pivots before the failure).
+_FAILURE_EXITS = [
+    pytest.param("PIVOT_BUDGET", 0, None, "phase 1: pivot_budget", True, 0, id="phase-1-pivot-budget"),
+    pytest.param("PIVOT_BUDGET", 0.15, None, "phase 2: pivot_budget", True, 158, id="phase-2-pivot-budget"),
+    pytest.param("PIVOT_TOL", 1e9, None, "phase 1: no_pivot_row", True, 0, id="no-pivot-row"),
+    pytest.param("DUAL_RESIDUAL_TOL", -1.0, None, "certificate check failed: viol=", False, 239, id="certificate"),
+    # Every optimum looks infeasible, so phase 1's multipliers are taken for a ray.
+    pytest.param(
+        "FEAS_TOL", -1.0, None, "phase-1 multipliers degenerate; no ray certificate", True, 107, id="no-ray",
+    ),
+    pytest.param(
+        None, None, "near_parallel_rows", "ray certificate violates A d <= 0 beyond tolerance", True, 2,
+        id="ray-violation",
+    ),
+]
+
+
+class TestFailureExits:
+    @pytest.mark.parametrize("name, value, family, message, exact, pivots", _FAILURE_EXITS)
+    def test_status_message_and_pivots(self, monkeypatch, name, value, family, message, exact, pivots):
+        if family is None:
+            inst = sample_instance(EntryDistribution.gaussian(), 1000, 50, 0)
+        else:
+            inst = property_instance(family, 23, 4, 2174368136, CostVectorKind.rescaled_rademacher(), False)
+        swaps = []
+        swap = solver._Basis.swap
+
+        def counting_swap(basis, *args):
+            swaps.append(args[0])
+            return swap(basis, *args)
+
+        monkeypatch.setattr(solver._Basis, "swap", counting_swap)
+        if name is not None:
+            monkeypatch.setattr(solver, name, value)
+        out = solve(inst)
+        assert out.status == "numerical_failure"
+        assert (out.message == message) if exact else out.message.startswith(message)
+        assert out.pivots == len(swaps) == pivots
+        assert out.z_star is None and out.x_star is None and out.ray is None
+
+
+class TestDriveOutArtificials:
+    """Phase 1 can end with artificials basic at value 0. The drive-out pivots
+    each onto a row of A that reaches it; one that no row reaches stays basic,
+    and marks a redundant equality row of the dual."""
+
+    @staticmethod
+    def solve_observed(monkeypatch, inst):
+        """Solve inst; return the outcome, the drive-out's pivots and the
+        artificials it left basic."""
+        seen = {"inside": False, "pivots": 0}
+        drive_out, swap = solver._drive_out_artificials, solver._Basis.swap
+
+        def drive_out_spy(basis, *args):
+            seen["inside"] = True
+            drive_out(basis, *args)
+            seen["inside"] = False
+            seen["left"] = int(np.sum(basis.basis >= basis.m))
+
+        def swap_spy(basis, *args):
+            seen["pivots"] += seen["inside"]
+            return swap(basis, *args)
+
+        monkeypatch.setattr(solver, "_drive_out_artificials", drive_out_spy)
+        monkeypatch.setattr(solver._Basis, "swap", swap_spy)
+        return solve(inst), seen["pivots"], seen["left"]
+
+    @staticmethod
+    def certify_against_oracle(inst, out):
+        certify_optimal(inst, out)
+        status, z, _ = brute_force_oracle(inst.A, inst.c)
+        assert status == "optimal"
+        assert abs(out.z_star - z) <= 1e-12 * max(1.0, abs(z))
+
+    def test_pivots_an_artificial_out(self, monkeypatch):
+        inst = property_instance("small_integers", 5, 4, 302, CostVectorKind.rescaled_rademacher(), False)
+        out, pivots, left = self.solve_observed(monkeypatch, inst)
+        assert (pivots, left) == (1, 0)
+        self.certify_against_oracle(inst, out)
+
+    def test_artificial_of_a_redundant_row_stays(self, monkeypatch):
+        # A zero column of A is a zero row of A^T y = c; the 1-spike cost is 0
+        # there, so the row is redundant and its artificial stays basic at 0.
+        gen = np.random.default_rng(2)
+        A = gen.integers(-3, 4, (5, 4)).astype(float)
+        A[:, gen.integers(0, 4)] = 0.0
+        inst = LPInstance(A=A, c=sample_cost_vector(CostVectorKind.k_spike(1), 4, SeedSpec(2, 1)))
+        out, pivots, left = self.solve_observed(monkeypatch, inst)
+        assert (pivots, left) == (0, 1)
+        self.certify_against_oracle(inst, out)
 
 
 # Families of hard inputs for the property tests, each drawing A from a

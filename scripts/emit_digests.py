@@ -9,7 +9,8 @@ and never written, plus one small config per kind in CHECKOUT's
 randlp.harness.KINDS. randlp is imported from CHECKOUT/src. Each output line
 reads `<campaign>/<file> <sha256>`; records.jsonl is digested with its
 wall_time fields dropped, the only field that may differ between identical
-runs. BLAS runs on one thread, as it does under the randlp command.
+runs. BLAS runs on one thread, pinned by CHECKOUT's randlp.cli.cap_blas_threads
+as under the randlp command.
 
 With --against, the script also digests OTHER, in a subprocess running this
 script with --root OTHER, and prints only the lines that differ: "- " before
@@ -22,7 +23,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -62,6 +62,10 @@ def file_digest(path: Path) -> str:
 def digest_lines(root: Path):
     """Yield one `<campaign>/<file> <sha256>` line per file root's campaigns emit."""
     sys.path.insert(0, str(root / "src"))
+    from randlp.cli import cap_blas_threads
+
+    # randlp.cli loads no numpy, so BLAS is pinned before randlp.harness loads it.
+    cap_blas_threads()
     from randlp.config import config_from_mapping, load_config
     from randlp.harness import KINDS, emit, run_campaign
 
@@ -83,8 +87,6 @@ def main() -> int:
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1], help="checkout to run")
     parser.add_argument("--against", type=Path, help="checkout to compare with; print only the lines that differ")
     args = parser.parse_args()
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
     if args.against is None:
         for line in digest_lines(args.root.resolve()):
             print(line, flush=True)

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional, Union
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,12 +137,21 @@ def _load_instance(path: str):
         return np.array(data["A"], dtype=float), np.array(data["c"], dtype=float)
 
 
+def write_text(path: str, text: Union[str, Iterable[str]]) -> None:
+    """Write text to the file path as UTF-8 with LF line ends, on every
+    platform. Every text file randlp writes goes through here. text is one
+    string, or strings to write in turn, so that a large file need not be
+    held whole."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
+
+
 def _write_json(payload: dict, out: Optional[str]) -> None:
-    """Write payload as indented JSON to the file out, or to stdout."""
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Write payload as indented JSON to the file out, or to stdout. Arrays
+    are written as lists."""
+    text = json.dumps(payload, sort_keys=True, indent=2, default=lambda array: array.tolist()) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(out, text)
         print(out)
     else:
         sys.stdout.write(text)
@@ -151,14 +160,11 @@ def _write_json(payload: dict, out: Optional[str]) -> None:
 def _cmd_solve(args) -> int:
     from dataclasses import asdict
 
-    import numpy as np
-
     from .solver import LPInstance, solve
 
     A, c = _load_instance(args.instance)
     outcome = solve(LPInstance(A, c))
-    payload = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(outcome).items()}
-    _write_json(payload, args.out)
+    _write_json(asdict(outcome), args.out)
     return 0 if outcome.status in ("optimal", "unbounded") else 2
 
 
@@ -170,15 +176,9 @@ def _cmd_restore(args) -> int:
     A, c = _load_instance(args.instance)
     opts = _load_config(args).restore if args.config else RestoreOptions()
     trace = restore(A, c, opts)
-    payload = {
-        "status": trace.status,
-        "message": trace.message,
-        "converged": trace.converged,
-        "iterations": trace.iterations,
-        "objective": float(c @ trace.final_x),
-        "iterates": [asdict(rec) for rec in trace.iterates],
-        "final_x": [float(v) for v in trace.final_x],
-    }
+    payload = dict(
+        asdict(trace), converged=trace.converged, iterations=trace.iterations, objective=float(c @ trace.final_x)
+    )
     _write_json(payload, args.out)
     return 0 if trace.converged else 2
 

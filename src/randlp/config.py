@@ -57,6 +57,12 @@ class TailCase:
     trials: int = 1_000_000
     t: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.n < 1 or self.trials < 1000:
+            raise ValueError("each tail case needs n >= 1 and trials >= 1000")
+        if not (0.0 <= self.eps < 1.0) or self.delta <= 0.0:
+            raise ValueError("each tail case needs delta > 0 and eps in [0, 1)")
+
     def threshold(self) -> float:
         if self.t is not None:
             return self.t
@@ -116,11 +122,6 @@ class ExperimentConfig:
                 raise ConfigError("baseline_mu must be positive")
         if self.experiment_kind == "MeanWidth" and self.trials < 10:
             raise ConfigError("MeanWidth needs trials >= 10")
-        for case in self.tail_cases:
-            if case.n < 1 or case.trials < 1000:
-                raise ConfigError("each tail case needs n >= 1 and trials >= 1000")
-            if not (0.0 <= case.eps < 1.0) or case.delta <= 0.0:
-                raise ConfigError("each tail case needs delta > 0 and eps in [0, 1)")
 
 
 def _check(hint, raw: object, key: str) -> object:

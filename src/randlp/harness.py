@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cli import cap_blas_threads
+from .cli import cap_blas_threads, write_text
 from .geometry import mean_width_mc
 from .restore import restore
 from .sampling import CostVectorKind, SeedSpec, sample_cost_vector, sample_matrix
@@ -375,13 +375,12 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: List[dict], footer: str) -> None:
+def _csv_text(header: Sequence[str], rows: List[dict], footer: str) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_format_cell(row[col]) for col in header))
     lines.append(footer)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def emit(config: ExperimentConfig, result: CampaignResult, output_dir: Optional[str] = None) -> List[str]:
@@ -396,29 +395,18 @@ def emit(config: ExperimentConfig, result: CampaignResult, output_dir: Optional[
     footer = f"# excluded_replicates={result.errored}"
     # Only the histogram can have no rows: every replicate failed.
     header = tuple(result.rows[0]) if result.rows else _HISTOGRAM_COLUMNS
-    files = [os.path.join(out, KINDS[kind][2])]
-    _write_csv(files[0], header, result.rows, footer)
+    files = [(KINDS[kind][2], _csv_text(header, result.rows, footer))]
     if kind == "DistributionStudy":
         values = _optimal_values(result.records)
         ecdf_rows = [{"x": x, "ecdf": p} for (x, p) in ecdf(values)] if values else []
-        ecdf_path = os.path.join(out, "ecdf.csv")
-        _write_csv(ecdf_path, ("x", "ecdf"), ecdf_rows, footer)
-        files.append(ecdf_path)
-        ks_path = os.path.join(out, "ks.json")
-        with open(ks_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(result.ks, sort_keys=True) + "\n")
-        files.append(ks_path)
+        files.append(("ecdf.csv", _csv_text(("x", "ecdf"), ecdf_rows, footer)))
+        files.append(("ks.json", json.dumps(result.ks, sort_keys=True) + "\n"))
         if config.svg:
-            svg_hist = os.path.join(out, "histogram.svg")
-            render.svg_histogram([tuple(row.values()) for row in result.rows], svg_hist)
-            files.append(svg_hist)
-            svg_ecdf = os.path.join(out, "ecdf.svg")
-            render.svg_steps([(row["x"], row["ecdf"]) for row in ecdf_rows], svg_ecdf)
-            files.append(svg_ecdf)
-
-    records_path = os.path.join(out, "records.jsonl")
-    with open(records_path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in result.records:
-            fh.write(rec.to_json() + "\n")
-    files.append(records_path)
-    return files
+            files.append(("histogram.svg", render.svg_histogram([tuple(row.values()) for row in result.rows])))
+            files.append(("ecdf.svg", render.svg_steps([(row["x"], row["ecdf"]) for row in ecdf_rows])))
+    # The largest file: written a line at a time, never held whole.
+    files.append(("records.jsonl", (rec.to_json() + "\n" for rec in result.records)))
+    paths = [os.path.join(out, name) for name, _ in files]
+    for path, (_, text) in zip(paths, files):
+        write_text(path, text)
+    return paths

@@ -1,4 +1,4 @@
-"""Minimal SVG output for histogram bars and ECDF steps.
+"""Minimal SVG text for histogram bars and ECDF steps.
 
 Diagnostic figures only: fixed canvas, two axis lines, corner labels with the
 data ranges. CSV files are the machine-readable contract; these are for a
@@ -29,8 +29,8 @@ def _scale(v: float, lo: float, hi: float, out_lo: float, out_hi: float) -> floa
     return out_lo + (v - lo) / span * (out_hi - out_lo)
 
 
-def _write_svg(path: str, marks: List[str]) -> None:
-    """Write the canvas and axes with the given marks on top."""
+def _svg(marks: List[str]) -> str:
+    """The canvas and axes with the given marks on top."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
@@ -39,12 +39,11 @@ def _write_svg(path: str, marks: List[str]) -> None:
         *marks,
         "</svg>",
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
-def svg_histogram(bins: Sequence[Tuple[float, float, int]], path: str) -> None:
-    """Write bars for (bin_left, bin_right, count) triples."""
+def svg_histogram(bins: Sequence[Tuple[float, float, int]]) -> str:
+    """Bars for (bin_left, bin_right, count) triples."""
     marks = []
     if bins:
         lo = bins[0][0]
@@ -59,11 +58,11 @@ def svg_histogram(bins: Sequence[Tuple[float, float, int]], path: str) -> None:
                 f'height="{h:.2f}" fill="steelblue" stroke="black" stroke-width="0.5"/>'
             )
         marks += _range_labels(lo, hi, str(top))
-    _write_svg(path, marks)
+    return _svg(marks)
 
 
-def svg_steps(points: Sequence[Tuple[float, float]], path: str) -> None:
-    """Write a right-continuous step plot for (x, value) pairs in [0, 1]."""
+def svg_steps(points: Sequence[Tuple[float, float]]) -> str:
+    """A right-continuous step plot for (x, value) pairs in [0, 1]."""
     marks = []
     if points:
         lo = points[0][0]
@@ -79,4 +78,4 @@ def svg_steps(points: Sequence[Tuple[float, float]], path: str) -> None:
             prev = v
         marks.append(f'<polyline points="{" ".join(coords)}" fill="none" stroke="steelblue"/>')
         marks += _range_labels(lo, hi, "1.0")
-    _write_svg(path, marks)
+    return _svg(marks)

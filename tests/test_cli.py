@@ -219,6 +219,14 @@ class TestInstanceCommands:
         assert main(["generate"]) == 1
         assert "config" in capsys.readouterr().err
 
+    def test_generate_needs_a_grid(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.yaml", experiment="TailCheck", grid=[], tail_cases=[{"n": 400, "delta": 0.01}]
+        )
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "inst.npz")]) == 1
+        assert "generate needs a non-empty grid" in capsys.readouterr().err
+        assert not (tmp_path / "inst.npz").exists()
+
     def test_generate_writes_instance(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", grid=[[40, 6]])
         inst = tmp_path / "inst.npz"

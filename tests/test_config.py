@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from randlp.cli import main
 from randlp.config import (
     ConfigError,
     ExperimentConfig,
@@ -155,11 +156,14 @@ class TestValidation:
     def test_tail_case_bounds(self):
         base = {"experiment": "TailCheck", "master_seed": 1}
         bad = dict(base, tail_cases=[{"n": 400, "delta": 0.01, "eps": 0.1, "trials": 10}])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^each tail case needs n >= 1 and trials >= 1000$"):
             config_from_mapping(bad)
         bad = dict(base, tail_cases=[{"n": 400, "delta": 0.0, "trials": 2000}])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^each tail case needs delta > 0 and eps in \[0, 1\)$"):
             config_from_mapping(bad)
+        # A case built in code checks its own values too.
+        with pytest.raises(ValueError, match="n >= 1"):
+            TailCase(n=0, delta=0.01)
 
     def test_tail_case_defaults_and_required_keys(self):
         base = {"experiment": "TailCheck", "master_seed": 1}
@@ -210,6 +214,23 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.yaml"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("experiment: [ObjectiveTable\n", "cannot parse config"),
+            ("", "is empty"),
+            ("experiment: AlgorithmTable\ngrid: [[100, 10]]\nrestore: 3\n", "restore must be a mapping, got 3"),
+        ],
+        ids=["malformed", "empty", "scalar_for_mapping"],
+    )
+    def test_fails_before_any_field_is_checked(self, tmp_path, capsys, text, message):
+        path = tmp_path / "campaign.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+        assert main(["table", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"

@@ -3,8 +3,9 @@ Tests for the campaign harness: stream packing, record derivations, the
 table runners, and file emission.
 
 Every campaign here runs through run_campaign. The experiment kinds are the
-keys of harness.KINDS, which _KIND_CONFIGS below mirrors with one tiny config
-per kind; MAX_REPLICATES sits beside stream_index in harness.
+keys of harness.KINDS, which _KIND_CONFIGS below, read from
+scripts/emit_digests.py, covers with one tiny config per kind;
+MAX_REPLICATES sits beside stream_index in harness.
 
 Runner outputs are deterministic functions of (config, master_seed), so
 expected values here are frozen from the seeds in use. One test exercises a
@@ -12,6 +13,7 @@ real two-worker process pool and takes a few seconds.
 """
 
 import copy
+import importlib.util
 import json
 import math
 import os
@@ -235,6 +237,31 @@ class TestStubSolver:
         result = run_campaign(cfg)
         emit(cfg, result, output_dir=str(tmp_path))
         lines = (tmp_path / "objective_table.csv").read_text().splitlines()
+        assert lines[-1] == "# excluded_replicates=2"
+
+    def test_stddev_row_of_too_few_optimal_replicates_is_nan(self, monkeypatch, tmp_path):
+        calls = {"k": 0}
+
+        def stub(inst):
+            k = calls["k"]
+            calls["k"] += 1
+            # Grid point (40, 6) keeps one optimal replicate, its first.
+            if inst.A.shape[0] == 40 and k > 3:
+                return SolveOutcome(status="numerical_failure", pivots=3, message="stub failure")
+            return SolveOutcome(status="optimal", pivots=0, z_star=float(k))
+
+        monkeypatch.setattr(harness, "solve", stub)
+        cfg = make_config(experiment="StdDevTable")
+        result = run_campaign(cfg)
+        assert [rec.status for rec in result.records][3:] == ["optimal", "numerical_failure", "numerical_failure"]
+        first, second = result.rows
+        assert first["sigma_hat"] == summarize([0.0, 1.0, 2.0]).std == 1.0
+        assert first["sigma_sqrt_m"] == math.sqrt(30)
+        assert math.isnan(second["sigma_hat"]) and math.isnan(second["sigma_sqrt_m"])
+        assert result.errored == 2 and result.partial
+        emit(cfg, result, output_dir=str(tmp_path))
+        lines = (tmp_path / "stddev_table.csv").read_text().splitlines()
+        assert lines[2] == f"40,6,{asymptotic_bound(40, 6)!r},nan,nan"
         assert lines[-1] == "# excluded_replicates=2"
 
     def test_singular_basis_is_excluded_not_raised(self, monkeypatch, tmp_path):
@@ -579,25 +606,20 @@ class TestEmission:
         assert os.path.exists(files[0])
 
 
-# One tiny config per experiment kind. Pivot paths at tall sizes depend on the
-# BLAS thread count; conftest.py caps this process at one thread, as the
-# spawned workers are, and sizes stay small to keep the 14 campaigns quick.
-_KIND_CONFIGS = {
-    "ObjectiveTable": {"grid": [[60, 8]], "sample_size": 4},
-    "StdDevTable": {"grid": [[50, 5], [80, 10]], "sample_size": 3, "distribution": {"kind": "rademacher"}},
-    "SparseCostTable": {"grid": [[40, 6]], "sample_size": 3, "k_values": [1, 2], "baseline_mu": 0.5},
-    "DistributionStudy": {"grid": [[30, 5]], "sample_size": 16, "svg": True},
-    "AlgorithmTable": {"grid": [[100, 10]], "sample_size": 3, "cost": {"kind": "uniform_sphere"}},
-    # (6, 5) has an unbounded direction, so one point emits a NaN row.
-    "MeanWidth": {"grid": [[40, 4], [6, 5]], "trials": 32},
-    "TailCheck": {
-        "distribution": {"kind": "rademacher"},
-        "tail_cases": [
-            {"n": 400, "delta": 0.01, "eps": 0.1, "trials": 2000, "t": 1.8},
-            {"n": 100, "delta": 0.04, "eps": 0.0, "trials": 2000},
-        ],
-    },
-}
+def _load_script(name: str):
+    """The module scripts/<name>.py, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# One tiny config per experiment kind, the ones scripts/emit_digests.py
+# digests. Pivot paths at tall sizes depend on the BLAS thread count;
+# conftest.py caps this process at one thread, as the spawned workers are,
+# and sizes stay small to keep the 14 campaigns quick.
+_KIND_CONFIGS = _load_script("emit_digests").SMALL_CONFIGS
 
 
 def _canonical_records(path):

@@ -6,8 +6,12 @@ Usage:
 
 The campaigns are every config in CHECKOUT/perfbench/configs, read in place
 and never written, plus one small config per kind in CHECKOUT's
-randlp.harness.KINDS. randlp is imported from CHECKOUT/src. Each output line
-reads `<campaign>/<file> <sha256>`; records.jsonl is digested with its
+randlp.harness.KINDS. Then the instance commands run on the small
+AlgorithmTable config, in process through randlp.cli.main: `randlp generate`
+writes an instance, and `randlp solve --out` and `randlp restore --out` write
+its solution and its restoration. randlp is imported from CHECKOUT/src. Each
+output line reads `<campaign>/<file> <sha256>`, with `instance` as the
+campaign of the instance commands; records.jsonl is digested with its
 wall_time fields dropped, the only field that may differ between identical
 runs. BLAS runs on one thread, pinned by CHECKOUT's randlp.cli.cap_blas_threads
 as under the randlp command.
@@ -21,12 +25,16 @@ moved an emitted byte is one command with an exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import yaml
 
 # One small campaign per experiment kind, at instances no larger than 100 x 10.
 SMALL_CONFIGS = {
@@ -59,8 +67,32 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def instance_files(scratch: Path):
+    """Run the instance commands in scratch/instance; return the files they wrote."""
+    from randlp.cli import main as randlp
+
+    out = scratch / "instance"
+    out.mkdir()
+    config = scratch / "instance.yaml"
+    raw = dict(SMALL_CONFIGS["AlgorithmTable"], experiment="AlgorithmTable", master_seed=11)
+    config.write_text(yaml.safe_dump(raw))
+    inst = str(out / "instance.npz")
+    runs = [
+        ["generate", "--config", str(config), "--out", inst],
+        ["solve", inst, "--out", str(out / "solve.json")],
+        ["restore", inst, "--config", str(config), "--out", str(out / "restore.json")],
+    ]
+    # The commands print the paths they write; only the digests go to stdout.
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in runs:
+            if randlp(argv) == 1:
+                raise SystemExit(f"randlp {' '.join(argv)} failed")
+    return sorted(out.iterdir())
+
+
 def digest_lines(root: Path):
-    """Yield one `<campaign>/<file> <sha256>` line per file root's campaigns emit."""
+    """Yield one `<campaign>/<file> <sha256>` line per file that root's
+    campaigns and instance commands write."""
     sys.path.insert(0, str(root / "src"))
     from randlp.cli import cap_blas_threads
 
@@ -80,6 +112,8 @@ def digest_lines(root: Path):
             emit(config, run_campaign(config), output_dir=str(out))
             for path in sorted(out.iterdir()):
                 yield f"{name}/{path.name} {file_digest(path)}"
+        for path in instance_files(Path(scratch)):
+            yield f"instance/{path.name} {file_digest(path)}"
 
 
 def main() -> int:

@@ -133,8 +133,13 @@ def _cmd_generate(args) -> int:
 def _load_instance(path: str):
     import numpy as np
 
-    with np.load(path) as data:
-        return np.array(data["A"], dtype=float), np.array(data["c"], dtype=float)
+    from .solver import LPInstance
+
+    try:
+        with np.load(path) as data:
+            return LPInstance(data["A"], data["c"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise OSError(f"{path} is not an instance file: {exc}") from exc
 
 
 def write_text(path: str, text: Union[str, Iterable[str]]) -> None:
@@ -160,10 +165,9 @@ def _write_json(payload: dict, out: Optional[str]) -> None:
 def _cmd_solve(args) -> int:
     from dataclasses import asdict
 
-    from .solver import LPInstance, solve
+    from .solver import solve
 
-    A, c = _load_instance(args.instance)
-    outcome = solve(LPInstance(A, c))
+    outcome = solve(_load_instance(args.instance))
     _write_json(asdict(outcome), args.out)
     return 0 if outcome.status in ("optimal", "unbounded") else 2
 
@@ -173,12 +177,11 @@ def _cmd_restore(args) -> int:
 
     from .restore import RestoreOptions, restore
 
-    A, c = _load_instance(args.instance)
+    inst = _load_instance(args.instance)
     opts = _load_config(args).restore if args.config else RestoreOptions()
-    trace = restore(A, c, opts)
-    payload = dict(
-        asdict(trace), converged=trace.converged, iterations=trace.iterations, objective=float(c @ trace.final_x)
-    )
+    trace = restore(inst.A, inst.c, opts)
+    payload = dict(asdict(trace), converged=trace.converged, iterations=trace.iterations)
+    payload["objective"] = float(inst.c @ trace.final_x)
     _write_json(payload, args.out)
     return 0 if trace.converged else 2
 

@@ -9,9 +9,9 @@ mappings, {kind: k_spike, k: 3}, that call the same-named classmethod of
 EntryDistribution or CostVectorKind with the other keys. A key left out
 takes the default declared there. Values are checked against the declared
 type, never cast: an int must be a YAML integer, a bool a YAML bool, a string
-a YAML string, and a float a number or a numeric string (PyYAML reads 1e-12
-as a string). Unknown keys are rejected, so a typo cannot silently change an
-experiment.
+a YAML string, and a float a finite number, or a numeric string naming one
+(PyYAML reads 1e-12 as a string). Unknown keys are rejected, so a typo
+cannot silently change an experiment.
 
 The experiment kinds are the keys of harness.KINDS, and sample_size is
 bounded by harness.MAX_REPLICATES, the stream packing's replicate range.
@@ -24,6 +24,7 @@ overrides the file's output_dir (and is itself overridden by an explicit
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, is_dataclass
 from typing import Mapping, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -38,7 +39,7 @@ COST_POLICIES = ("FixedAcrossReplicates", "FreshPerReplicate")
 # YAML keys of the ExperimentConfig fields whose names differ from them.
 _KEYS = {"experiment_kind": "experiment", "dist": "distribution", "cost_kind": "cost"}
 
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
 class ConfigError(Exception):
@@ -60,7 +61,7 @@ class TailCase:
     def __post_init__(self) -> None:
         if self.n < 1 or self.trials < 1000:
             raise ValueError("each tail case needs n >= 1 and trials >= 1000")
-        if not (0.0 <= self.eps < 1.0) or self.delta <= 0.0:
+        if not (0.0 <= self.eps < 1.0 and self.delta > 0.0):
             raise ValueError("each tail case needs delta > 0 and eps in [0, 1)")
 
     def threshold(self) -> float:
@@ -118,7 +119,7 @@ class ExperimentConfig:
         if self.baseline_mu is not None:
             if self.experiment_kind != "SparseCostTable":
                 raise ConfigError("baseline_mu only applies to SparseCostTable")
-            if self.baseline_mu <= 0.0:
+            if not self.baseline_mu > 0.0:
                 raise ConfigError("baseline_mu must be positive")
         if self.experiment_kind == "MeanWidth" and self.trials < 10:
             raise ConfigError("MeanWidth needs trials >= 10")
@@ -126,8 +127,8 @@ class ExperimentConfig:
 
 def _check(hint, raw: object, key: str) -> object:
     """raw as a value of the type hint: checked, never cast, except that an
-    integer or a numeric string may stand for a float (PyYAML reads 1e-12 as
-    a string). Settings types are built from their mappings."""
+    integer or a numeric string may stand for a float, which must be finite.
+    Settings types are built from their mappings."""
     if get_origin(hint) is Union:  # Optional[X]
         return None if raw is None else _check(get_args(hint)[0], raw, key)
     if get_origin(hint) is tuple:
@@ -143,8 +144,9 @@ def _check(hint, raw: object, key: str) -> object:
         return _settings(hint, raw, key)
     if hint is float and not isinstance(raw, bool) and isinstance(raw, (int, float, str)):
         try:
-            return float(raw)
-        except ValueError:
+            if math.isfinite(float(raw)):
+                return float(raw)
+        except (ValueError, OverflowError):
             pass
     elif isinstance(raw, hint) and (hint is bool or not isinstance(raw, bool)):
         return raw

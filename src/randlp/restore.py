@@ -11,7 +11,8 @@ A run's outcome is the returned trace, never an exception: its status is
 "converged", "non_converged" (max_iters sweeps without reaching feas_tol) or
 "degenerate_block" (a sweep's Gram system stayed singular after pruning; the
 trace stops before that sweep and its message says which). Only bad input
-raises.
+raises: an (A, c) that LPInstance rejects (a non-finite entry, c off the unit
+sphere), m <= n, or options out of range (feas_tol must be finite, >= 0).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import List
 import numpy as np
 
 from .linalg import SingularGram, gram_solve, pruned_gram_solve
-from .solver import UNIT_COST_TOL
+from .solver import LPInstance
 from .stats import asymptotic_bound
 
 
@@ -40,8 +41,8 @@ class RestoreOptions:
             raise ValueError("shrink must be in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.feas_tol < 0.0:
-            raise ValueError("feas_tol must be nonnegative")
+        if not (0.0 <= self.feas_tol < np.inf):
+            raise ValueError("feas_tol must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -75,29 +76,20 @@ class RestoreTrace:
 
 def restore(A: np.ndarray, c: np.ndarray, opts: RestoreOptions = RestoreOptions()) -> RestoreTrace:
     """Repair feasibility of the scaled cost vector; see the module docstring."""
-    A = np.asarray(A, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if A.ndim != 2 or c.ndim != 1 or A.shape[1] != c.shape[0]:
-        raise ValueError(f"shape mismatch: A is {A.shape}, c has length {c.shape}")
-    m, n = A.shape
-    if not (m > n >= 1):
-        raise ValueError("need m > n >= 1")
-    if abs(float(np.linalg.norm(c)) - 1.0) > UNIT_COST_TOL:
-        raise ValueError("c must have unit Euclidean norm")
-
-    x = asymptotic_bound(m, n) * c
+    inst = LPInstance(A, c)
+    x = asymptotic_bound(inst.m, inst.n) * inst.c
     eps = opts.eps0
     records: List[IterationRecord] = []
     # One check of A x per sweep, and one more after the last.
     while True:
-        values = A @ x
+        values = inst.A @ x
         converged = float(values.max()) - 1.0 <= opts.feas_tol
         if converged or len(records) == opts.max_iters:
             return RestoreTrace(final_x=x, status="converged" if converged else "non_converged", iterates=records)
         idx = np.nonzero(values > 1.0 - eps)[0]
         b = 1.0 - eps - values[idx]
-        rows = A[idx]
-        M = (rows - np.outer(rows @ c, c)).T
+        rows = inst.A[idx]
+        M = (rows - np.outer(rows @ inst.c, inst.c)).T
         try:
             u = gram_solve(M, b)
         except SingularGram:

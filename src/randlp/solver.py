@@ -359,11 +359,11 @@ def _extract_optimal(inst: LPInstance, basis: _Basis) -> SolveOutcome:
     max_viol = check_feasible(inst.A, x)
     dual_resid = float(np.max(np.abs(inst.A.T @ y - inst.c)))
     gap = abs(duality_gap(inst, x, y))
-    if (
-        artificial_mass > FEAS_TOL
-        or max_viol > FEAS_TOL
-        or dual_resid > DUAL_RESIDUAL_TOL
-        or gap > DUALITY_GAP_TOL
+    if not (
+        artificial_mass <= FEAS_TOL
+        and max_viol <= FEAS_TOL
+        and dual_resid <= DUAL_RESIDUAL_TOL
+        and gap <= DUALITY_GAP_TOL
     ):
         raise _NumericalFailure(
             f"certificate check failed: viol={max_viol:.3e} "
@@ -376,10 +376,10 @@ def _extract_unbounded(inst: LPInstance, basis: _Basis) -> SolveOutcome:
     """Certify a ray from phase 1's multipliers; solve refactors basis first."""
     pi = _multipliers(basis, 1)
     along_c = float(np.dot(inst.c, pi))
-    if along_c <= 0.0:
+    if not along_c > 0.0:
         raise _NumericalFailure("phase-1 multipliers degenerate; no ray certificate")
     ray = pi / along_c
-    if float(np.max(inst.A @ ray)) > FEAS_TOL:
+    if not float(np.max(inst.A @ ray)) <= FEAS_TOL:
         raise _NumericalFailure("ray certificate violates A d <= 0 beyond tolerance")
     return SolveOutcome(status="unbounded", pivots=basis.pivots, ray=ray)
 
@@ -387,9 +387,9 @@ def _extract_unbounded(inst: LPInstance, basis: _Basis) -> SolveOutcome:
 def solve(inst: LPInstance) -> SolveOutcome:
     """Solve the instance exactly; see SolveOutcome for the certificates.
 
-    Deterministic for fixed input. Never silently wrong: any tolerance breach,
-    or a basis found singular, comes back as status "numerical_failure" with a
-    diagnostic message.
+    Deterministic for fixed input. Never silently wrong: a certificate residual
+    that breaks its tolerance or is NaN, or a basis found singular, comes back
+    as status "numerical_failure" with a diagnostic message.
     """
     signs = np.where(inst.c >= 0.0, 1.0, -1.0)
     u = np.modf(np.arange(1, inst.n + 1) * 0.6180339887498949)[0]

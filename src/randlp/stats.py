@@ -183,8 +183,10 @@ def tail_probability_mc(
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("y must be a vector")
-    if abs(float(np.linalg.norm(y)) - 1.0) > UNIT_COST_TOL:
+    if not abs(float(np.linalg.norm(y)) - 1.0) <= UNIT_COST_TOL:
         raise ValueError("y must have unit Euclidean norm")
+    if math.isnan(t):
+        raise ValueError("t must not be NaN")
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
     gen = seed.generator()

@@ -311,6 +311,31 @@ class TestInstanceCommands:
         assert payload["z_star"] is None
         assert payload["ray"] == [0.0, 1.0]
 
+    @pytest.mark.parametrize("command", ["solve", "restore"])
+    @pytest.mark.parametrize(
+        "arrays, reason",
+        [
+            ({"A": np.eye(3)}, "'c is not a file in the archive'"),
+            ({"A": np.array([[1.0, np.nan], [0.0, 1.0]]), "c": np.array([1.0, 0.0])}, "entries must be finite"),
+            ({"A": np.eye(3), "c": np.ones(3)}, "c must have unit Euclidean norm"),
+        ],
+        ids=["no_c", "nan_entry", "non_unit_c"],
+    )
+    def test_bad_instance_file_is_one_line(self, tmp_path, capsys, command, arrays, reason):
+        inst = tmp_path / "bad.npz"
+        np.savez(inst, **arrays)
+        assert main([command, str(inst)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"randlp: {inst} is not an instance file: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "restore"])
+    def test_npy_file_is_not_an_instance(self, tmp_path, capsys, command):
+        inst = tmp_path / "A.npy"
+        np.save(inst, np.eye(3))
+        assert main([command, str(inst)]) == 1
+        assert capsys.readouterr().err.startswith(f"randlp: {inst} is not an instance file: ")
+
     def test_restore_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", grid=[[40, 6]])
         inst = tmp_path / "inst.npz"

@@ -165,6 +165,34 @@ class TestValidation:
         with pytest.raises(ValueError, match="n >= 1"):
             TailCase(n=0, delta=0.01)
 
+    @pytest.mark.parametrize(
+        "experiment, line, key",
+        [
+            ("SparseCostTable", "baseline_mu: .nan", "baseline_mu"),
+            ("SparseCostTable", "baseline_mu: inf", "baseline_mu"),
+            ("AlgorithmTable", "restore: {feas_tol: .inf}", "feas_tol"),
+            ("AlgorithmTable", "restore: {feas_tol: nan}", "feas_tol"),
+            ("TailCheck", "tail_cases: [{n: 400, delta: .nan}]", "delta"),
+            ("TailCheck", "tail_cases: [{n: 400, delta: 0.01, t: -.inf}]", "t"),
+            # An integer too large for a double.
+            ("SparseCostTable", "baseline_mu: 1" + "0" * 400, "baseline_mu"),
+        ],
+        ids=["baseline_mu-nan", "baseline_mu-inf", "feas_tol-inf", "feas_tol-nan", "delta-nan", "t-inf", "huge-int"],
+    )
+    def test_float_settings_must_be_finite(self, tmp_path, experiment, line, key):
+        # YAML reads .nan and .inf as floats, and nan and inf as strings.
+        grid = "" if experiment == "TailCheck" else "grid: [[100, 10]]\n"
+        path = tmp_path / "campaign.yaml"
+        path.write_text(f"experiment: {experiment}\nmaster_seed: 7\n{grid}{line}\n")
+        with pytest.raises(ConfigError, match=rf"^{key} must be a finite number, got"):
+            load_config(str(path))
+
+    def test_range_checks_reject_nan_built_in_code(self):
+        with pytest.raises(ValueError, match="delta > 0"):
+            TailCase(n=400, delta=math.nan)
+        with pytest.raises(ConfigError, match="baseline_mu must be positive"):
+            ExperimentConfig("SparseCostTable", grid=((100, 10),), baseline_mu=math.nan)
+
     def test_tail_case_defaults_and_required_keys(self):
         base = {"experiment": "TailCheck", "master_seed": 1}
         cfg = config_from_mapping(dict(base, tail_cases=[{"n": 400, "delta": 0.01}]))

@@ -41,6 +41,9 @@ class TestOptions:
             RestoreOptions(max_iters=0)
         with pytest.raises(ValueError):
             RestoreOptions(feas_tol=-1e-9)
+        for feas_tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="feas_tol must be finite"):
+                RestoreOptions(feas_tol=feas_tol)
 
 
 class TestInputValidation:
@@ -51,6 +54,21 @@ class TestInputValidation:
     def test_needs_unit_cost(self):
         with pytest.raises(ValueError):
             restore(np.ones((3, 2)), np.array([2.0, 0.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["A", "c"])
+    def test_needs_finite_entries(self, where, value):
+        A, c = np.ones((3, 2)), E1.copy()
+        (A[0] if where == "A" else c)[1] = value
+        with pytest.raises(ValueError, match="entries must be finite"):
+            restore(A, c)
+
+    def test_fortran_order_input_is_restored_in_c_order(self):
+        # Restoring this A in Fortran order would move the last bits of final_x.
+        A, c = gaussian_instance(100, 10, 1)
+        ours, theirs = restore(np.asfortranarray(A), c), restore(A, c)
+        assert ours.final_x.tobytes() == theirs.final_x.tobytes()
+        assert (ours.status, ours.iterates) == (theirs.status, theirs.iterates)
 
 
 class TestHandSweep:

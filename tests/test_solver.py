@@ -244,6 +244,53 @@ class TestCertificates:
             out = solve(LPInstance(A=A, c=c))
             assert out.status in ("optimal", "unbounded")
 
+    def test_nan_optimum_is_not_certified(self, monkeypatch):
+        # The final refactor leaves B^-1 and x_B NaN, so every residual is NaN.
+        extract = solver._extract_optimal
+
+        def nan_extract(inst, basis):
+            refactor = basis.refactor
+
+            def nan_refactor():
+                refactor()
+                basis.Binv[...] = np.nan
+                basis.xB[...] = np.nan
+
+            basis.refactor = nan_refactor
+            return extract(inst, basis)
+
+        monkeypatch.setattr(solver, "_extract_optimal", nan_extract)
+        out = solve(sample_instance(EntryDistribution.gaussian(), 200, 10, 0))
+        assert (out.status, out.z_star) == ("numerical_failure", None)
+        assert out.message.startswith("certificate check failed: viol=nan")
+
+    @pytest.mark.parametrize(
+        "poison, message",
+        [
+            # <c, pi> is NaN.
+            ("nan", "phase-1 multipliers degenerate"),
+            # pi_1 = inf, so <c, pi> = inf passes and the ray is [nan, 0, 0].
+            ("inf", "ray certificate violates"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    def test_nan_ray_is_not_certified(self, monkeypatch, poison, message):
+        A = np.random.default_rng(0).normal(size=(30, 3))
+        A[:, 0] = -np.abs(A[:, 0])
+        extract = solver._extract_unbounded
+
+        def poisoned_extract(inst, basis):
+            if poison == "nan":
+                basis.Binv[...] = np.nan
+            else:
+                basis.Binv[basis.basis >= basis.m, 0] = np.inf
+            return extract(inst, basis)
+
+        monkeypatch.setattr(solver, "_extract_unbounded", poisoned_extract)
+        out = solve(LPInstance(A, np.array([1.0, 0.0, 0.0])))
+        assert (out.status, out.ray) == ("numerical_failure", None)
+        assert out.message.startswith(message)
+
 
 class TestWorkingSetPricing:
     @pytest.mark.parametrize("m, n", [(3000, 20), (2000, 40)])

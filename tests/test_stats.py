@@ -192,6 +192,19 @@ class TestTailProbabilityMc:
         with pytest.raises(ValueError):
             tail_probability_mc(np.ones(4), EntryDistribution.gaussian(), 0.0, 2000, SeedSpec(0, 0))
 
+    @pytest.mark.parametrize(
+        "y, t, message",
+        [
+            (np.full(4, np.nan), 0.5, "unit Euclidean norm"),
+            (np.full(4, 0.5), np.nan, "t must not be NaN"),
+        ],
+        ids=["nan_y", "nan_t"],
+    )
+    def test_nan_input_rejected(self, y, t, message):
+        # Unchecked, each would count no hits: p_hat 0.0 with standard error 0.0.
+        with pytest.raises(ValueError, match=message):
+            tail_probability_mc(y, EntryDistribution.gaussian(), t, 2000, SeedSpec(0, 0))
+
     def test_trial_floor(self):
         y = np.array([1.0])
         with pytest.raises(ValueError):
